@@ -33,7 +33,8 @@ from .cutoffs import KAPPA_TOL, Kappa, Region, _standard_residuals, classify_reg
 from .dist import Exponential, ExponentialMixture, Market, MarketSlice, PiecewiseLinearCdf, ScaledFamily
 from .duality import build_duals, certificate_from_kappa, certificate_to_dict, \
     check_complementary_slackness, check_feasibility
-from .errors import FairpriceError, NoConvergence, RegionViolation, ValidationError
+from .errors import FairpriceError, NoConvergence, RegionViolation, UnsupportedConfiguration, \
+    ValidationError
 from .matching import build_rho_star, coupling_welfare, mix_for_target_surplus
 from .oracle import analytic_profit, discretize, solve_assignment
 from .pricing import NONDISCRIMINATION_TOL, build_p_anti, build_p_ass, build_p_star, \
@@ -112,16 +113,20 @@ def _parse_market(spec: dict) -> Market:
     pairs = []
     for i, s in enumerate(slices):
         where = f"market.slices[{i}]"
+        if not isinstance(s, dict):
+            raise ValidationError(f"{where} must be an object")
         _require_keys(s, {"c", "alpha", "weight", "f_l", "f_h"}, where)
-        pairs.append((
-            MarketSlice(
-                c=float(s.get("c", 0.0)),
-                alpha=float(s["alpha"]),
-                f_l=_parse_distribution(s["f_l"], where + ".f_l"),
-                f_h=_parse_distribution(s["f_h"], where + ".f_h"),
-            ),
-            float(s.get("weight", 1.0 / len(slices))),
-        ))
+        try:
+            c = float(s.get("c", 0.0))
+            alpha = float(s["alpha"])
+            f_l = _parse_distribution(s["f_l"], where + ".f_l")
+            f_h = _parse_distribution(s["f_h"], where + ".f_h")
+            weight = float(s.get("weight", 1.0 / len(slices)))
+        except FairpriceError:
+            raise
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValidationError(f"{where}: malformed entry ({type(exc).__name__}: {exc})") from exc
+        pairs.append((MarketSlice(c=c, alpha=alpha, f_l=f_l, f_h=f_h), weight))
     return Market(slices=tuple(pairs))
 
 
@@ -497,7 +502,7 @@ def run(config_path, command: str, out_dir=None, oracle_n=None, seed=None) -> in
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[command](config, out)
         return EXIT_OK
-    except ValidationError as exc:
+    except (ValidationError, UnsupportedConfiguration) as exc:
         _emit_error(out, EXIT_CONFIG, type(exc).__name__, str(exc))
         return EXIT_CONFIG
     except NoConvergence as exc:

@@ -21,11 +21,12 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile, reflect_g_h
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import adaptive_simpson, bisect
+from .numerics import _bisect_flag, adaptive_simpson, bisect
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
 QUAD_TOL = 1e-10
+BAND_RTOL = 1e-12
 
 
 class Region(enum.Enum):
@@ -261,17 +262,6 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     # pass the gap maximizer ('large'). The outer residual is positive at the
     # band's lower edge and negative at its upper edge, so a sign change is
     # guaranteed once the band is located.
-    def boundary(pred, a, b):
-        for _ in range(200):
-            if b - a <= 1e-12 * max(1.0, b):
-                break
-            mid = 0.5 * (a + b)
-            if pred(mid):
-                a = mid
-            else:
-                b = mid
-        return a, b
-
     step = 0.05 * max(gp.v_star, 1.0)
     prev = gp.v_star + 1e-9 * max(gp.v_star, 1.0)
     if status(prev) != "small":
@@ -286,7 +276,7 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
             if status(walk) != "small":
                 break
             prev = walk
-        _, lo_feas = boundary(lambda v: status(v) == "small", prev, walk)
+        _, lo_feas = _bisect_flag(lambda v: status(v) == "small", prev, walk, rtol=BAND_RTOL)
         if status(lo_feas) == "large":
             raise NoConvergence("feasible band of the middle equation is numerically empty",
                                 near=lo_feas)
@@ -298,7 +288,7 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         if walk > cap:
             raise NoConvergence("upper edge of the feasible band not found below the cap",
                                 cap=cap)
-    hi_feas, _ = boundary(lambda v: status(v) != "large", prev, walk)
+    hi_feas, _ = _bisect_flag(lambda v: status(v) != "large", prev, walk, rtol=BAND_RTOL)
 
     lo, hi = lo_feas, hi_feas
     _, r_lo = _tilde_inner(slice_, lo)

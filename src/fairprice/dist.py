@@ -273,8 +273,8 @@ class MarketSlice:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.c < 0:
-            raise ValidationError(f"cost must be nonnegative, got {self.c}")
+        if not (0.0 <= self.c < math.inf):
+            raise ValidationError(f"cost must be finite and nonnegative, got {self.c}")
         _check_common_support(self.f_l, self.f_h)
         _check_likelihood_ratio_order(self.f_l, self.f_h)
 
@@ -304,8 +304,8 @@ class Market:
         if not pairs:
             raise ValidationError("market must contain at least one slice")
         weights = np.array([w for _, w in pairs])
-        if np.any(weights < 0):
-            raise ValidationError("slice weights must be nonnegative")
+        if not np.all((weights >= 0) & np.isfinite(weights)):
+            raise ValidationError("slice weights must be finite and nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValidationError(f"slice weights must sum to 1, got {weights.sum()!r}")
         object.__setattr__(self, "slices", pairs)

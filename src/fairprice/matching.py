@@ -55,17 +55,53 @@ def _quantile_atoms(slice_: MarketSlice, n: int) -> np.ndarray:
     return np.asarray(slice_.f_h.quantile(q), dtype=float)
 
 
-def _split_tail(slice_, v_h, base_w, anti_map):
-    """Above the top cutoff each atom splits: stay on the diagonal with the
-    density-ratio weight, else map to the anti-assortative partner."""
-    dl = np.asarray(slice_.f_l.pdf(v_h), dtype=float)
-    dh = np.asarray(slice_.f_h.pdf(v_h), dtype=float)
-    ratio = np.clip(np.where(dh > 0, dl / dh, 1.0), 0.0, 1.0)
-    vl_anti = anti_map(v_h)
-    vl = np.concatenate([v_h, vl_anti])
-    vh = np.concatenate([v_h, v_h])
-    w = np.concatenate([base_w * ratio, base_w * (1.0 - ratio)])
-    return vl, vh, w
+def _assemble(slice_: MarketSlice, n: int, bands, tail_start: float, anti_map, source: str):
+    """Push n equal-mass high-group atoms through a regime map. bands is an
+    ordered list of (upper cutoff, map): an atom goes to the first band whose
+    cutoff it does not exceed. Above tail_start each atom splits: it stays on
+    the diagonal with the density-ratio weight, else goes to its
+    anti-assortative partner."""
+    v_h = _quantile_atoms(slice_, n)
+    base_w = np.full(n, 1.0 / n)
+    vl_parts, vh_parts, w_parts = [], [], []
+    lower = -np.inf
+    for upper, regime_map in bands:
+        m = (v_h > lower) & (v_h <= upper)
+        lower = upper
+        if np.any(m):
+            vl_parts.append(np.asarray(regime_map(v_h[m]), dtype=float))
+            vh_parts.append(v_h[m])
+            w_parts.append(base_w[m])
+    tail = v_h > tail_start
+    if np.any(tail):
+        x = v_h[tail]
+        dl = np.asarray(slice_.f_l.pdf(x), dtype=float)
+        dh = np.asarray(slice_.f_h.pdf(x), dtype=float)
+        ratio = np.clip(np.where(dh > 0, dl / dh, 1.0), 0.0, 1.0)
+        vl_parts += [x, np.asarray(anti_map(x), dtype=float)]
+        vh_parts += [x, x]
+        w_parts += [base_w[tail] * ratio, base_w[tail] * (1.0 - ratio)]
+    vl = np.concatenate(vl_parts)
+    vh = np.concatenate(vh_parts)
+    w = np.concatenate(w_parts)
+    keep = w > 0.0
+    return Coupling(v_l=vl[keep], v_h=vh[keep], w=w[keep] / w[keep].sum(), source=source)
+
+
+def _quantile_shift(slice_: MarketSlice, offset: float):
+    """x -> F_l^{-1}(F_h(x) + offset): the equal-quantile map, shifted."""
+    f_l, f_h = slice_.f_l, slice_.f_h
+    return lambda x: f_l.quantile(np.clip(np.asarray(f_h.cdf(x)) + offset, 0.0, 1.0))
+
+
+def _gap_shift(slice_: MarketSlice, offset: float):
+    """x -> lower-branch gap inverse at F_h(x) + offset."""
+    return lambda x: delta_inverse(slice_, np.asarray(slice_.f_h.cdf(x)) + offset, "lower")
+
+
+def _anti_map(slice_: MarketSlice, level: float):
+    """x -> F_l^{-1}(level - Delta(x)): the anti-assortative tail partner."""
+    return lambda x: slice_.f_l.quantile(np.clip(level - np.asarray(delta(slice_, x)), 0.0, 1.0))
 
 
 def build_rho_star(slice_: MarketSlice, n: int) -> Coupling:
@@ -74,77 +110,31 @@ def build_rho_star(slice_: MarketSlice, n: int) -> Coupling:
     if n < 10:
         raise ValidationError(f"need at least 10 atoms, got {n}")
     region = classify_region(slice_)
-    v_h = _quantile_atoms(slice_, n)
-    base_w = np.full(n, 1.0 / n)
-    f_l, f_h = slice_.f_l, slice_.f_h
-    vl_parts, vh_parts, w_parts = [], [], []
-
-    def emit(mask, vl):
-        if np.any(mask):
-            vl_parts.append(np.asarray(vl, dtype=float))
-            vh_parts.append(v_h[mask])
-            w_parts.append(base_w[mask])
-
     if region is Region.C1:
         k = solve_kappa(slice_)
         d3 = float(delta(slice_, k.k3))
         d4 = float(delta(slice_, k.k4))
         d5 = float(delta(slice_, k.k5))
-        m = v_h <= k.k1
-        emit(m, delta_inverse(slice_, np.asarray(f_h.cdf(v_h[m])) + d3, "lower"))
-        m = (v_h > k.k1) & (v_h <= k.k3)
-        emit(m, f_l.quantile(np.clip(np.asarray(f_h.cdf(v_h[m])) + d3, 0.0, 1.0)))
-        m = (v_h > k.k3) & (v_h <= k.k4)
-        emit(m, v_h[m])
-        m = (v_h > k.k4) & (v_h <= k.k5)
-        emit(m, f_l.quantile(np.clip(np.asarray(f_h.cdf(v_h[m])) + d4, 0.0, 1.0)))
-        tail = v_h > k.k5
-        if np.any(tail):
-            vl, vh, w = _split_tail(
-                slice_, v_h[tail], base_w[tail],
-                lambda x: f_l.quantile(np.clip(d5 - np.asarray(delta(slice_, x)), 0.0, 1.0)))
-            vl_parts.append(vl)
-            vh_parts.append(vh)
-            w_parts.append(w)
-    elif region is Region.C2:
+        bands = [(k.k1, _gap_shift(slice_, d3)), (k.k3, _quantile_shift(slice_, d3)),
+                 (k.k4, lambda x: x), (k.k5, _quantile_shift(slice_, d4))]
+        return _assemble(slice_, n, bands, k.k5, _anti_map(slice_, d5), "rho_star")
+    if region is Region.C2:
         gp = gap_profile(slice_)
         eta = solve_eta(slice_)
         dc = float(delta(slice_, slice_.c))
-        fh_eta = float(f_h.cdf(eta.eta_h))
-        fl_eta = float(f_l.cdf(eta.eta_l))
-        m = v_h <= eta.eta_h
-        emit(m, f_l.quantile(np.asarray(f_h.cdf(v_h[m]))))
-        m = (v_h > eta.eta_h) & (v_h <= slice_.c)
-        emit(m, delta_inverse(slice_, np.asarray(f_h.cdf(v_h[m])) - fh_eta + dc, "lower"))
-        m = (v_h > slice_.c) & (v_h <= gp.v_star)
-        emit(m, v_h[m])
-        tail = v_h > gp.v_star
-        if np.any(tail):
-            vl, vh, w = _split_tail(
-                slice_, v_h[tail], base_w[tail],
-                lambda x: f_l.quantile(np.clip(
-                    gp.tv - np.asarray(delta(slice_, x)) + fl_eta, 0.0, 1.0)))
-            vl_parts.append(vl)
-            vh_parts.append(vh)
-            w_parts.append(w)
-    else:
-        fl_c = float(f_l.cdf(slice_.c))
-        m = v_h <= slice_.c
-        emit(m, f_l.quantile(np.asarray(f_h.cdf(v_h[m]))))
-        tail = v_h > slice_.c
-        if np.any(tail):
-            vl, vh, w = _split_tail(
-                slice_, v_h[tail], base_w[tail],
-                lambda x: f_l.quantile(np.clip(fl_c - np.asarray(delta(slice_, x)), 0.0, 1.0)))
-            vl_parts.append(vl)
-            vh_parts.append(vh)
-            w_parts.append(w)
-
-    vl = np.concatenate(vl_parts)
-    vh = np.concatenate(vh_parts)
-    w = np.concatenate(w_parts)
-    keep = w > 0.0
-    return Coupling(v_l=vl[keep], v_h=vh[keep], w=w[keep] / w[keep].sum(), source="rho_star")
+        fh_eta = float(slice_.f_h.cdf(eta.eta_h))
+        fl_eta = float(slice_.f_l.cdf(eta.eta_l))
+        bands = [
+            (eta.eta_h, _quantile_shift(slice_, 0.0)),
+            (slice_.c, lambda x: delta_inverse(
+                slice_, np.asarray(slice_.f_h.cdf(x)) - fh_eta + dc, "lower")),
+            (gp.v_star, lambda x: x),
+        ]
+        return _assemble(slice_, n, bands, gp.v_star, lambda x: slice_.f_l.quantile(
+            np.clip(gp.tv - np.asarray(delta(slice_, x)) + fl_eta, 0.0, 1.0)), "rho_star")
+    fl_c = float(slice_.f_l.cdf(slice_.c))
+    return _assemble(slice_, n, [(slice_.c, _quantile_shift(slice_, 0.0))], slice_.c,
+                     _anti_map(slice_, fl_c), "rho_star")
 
 
 def _j_inverse(slice_: MarketSlice, q):
@@ -168,45 +158,13 @@ def build_rho_tilde(slice_: MarketSlice, n: int) -> Coupling:
     if n < 10:
         raise ValidationError(f"need at least 10 atoms, got {n}")
     k = solve_kappa(slice_)
-    f_l, f_h = slice_.f_l, slice_.f_h
     d3 = float(delta(slice_, k.k3))
     d4 = float(delta(slice_, k.k4))
     d5 = float(delta(slice_, k.k5))
-    v_h = _quantile_atoms(slice_, n)
-    base_w = np.full(n, 1.0 / n)
-    vl_parts, vh_parts, w_parts = [], [], []
-
-    m = v_h <= k.k1
-    if np.any(m):
-        vl_parts.append(np.asarray(
-            delta_inverse(slice_, np.asarray(f_h.cdf(v_h[m])) + d3, "lower"), dtype=float))
-        vh_parts.append(v_h[m])
-        w_parts.append(base_w[m])
-    m = (v_h > k.k1) & (v_h <= k.k4)
-    if np.any(m):
-        vl_parts.append(v_h[m])
-        vh_parts.append(v_h[m])
-        w_parts.append(base_w[m])
-    m = (v_h > k.k4) & (v_h <= k.k5)
-    if np.any(m):
-        vl_parts.append(np.asarray(
-            f_l.quantile(np.clip(np.asarray(f_h.cdf(v_h[m])) + d4, 0.0, 1.0)), dtype=float))
-        vh_parts.append(v_h[m])
-        w_parts.append(base_w[m])
-    tail = v_h > k.k5
-    if np.any(tail):
-        vl, vh, w = _split_tail(
-            slice_, v_h[tail], base_w[tail],
-            lambda x: _j_inverse(slice_, d5 - np.asarray(delta(slice_, x))))
-        vl_parts.append(vl)
-        vh_parts.append(vh)
-        w_parts.append(w)
-
-    vl = np.concatenate(vl_parts)
-    vh = np.concatenate(vh_parts)
-    w = np.concatenate(w_parts)
-    keep = w > 0.0
-    return Coupling(v_l=vl[keep], v_h=vh[keep], w=w[keep] / w[keep].sum(), source="rho_tilde")
+    bands = [(k.k1, _gap_shift(slice_, d3)), (k.k4, lambda x: x),
+             (k.k5, _quantile_shift(slice_, d4))]
+    return _assemble(slice_, n, bands, k.k5,
+                     lambda x: _j_inverse(slice_, d5 - np.asarray(delta(slice_, x))), "rho_tilde")
 
 
 def mix_for_target_surplus(slice_: MarketSlice, sigma_l: float, n: int) -> Coupling:

@@ -3,6 +3,8 @@
 All target functions here are monotone on the chosen bracket, so plain
 bisection is used throughout: absolute tolerance 1e-12 on the argument,
 200-iteration cap. The vector variants run the same loop on numpy arrays.
+Boundaries of boolean predicates (sale flags, solvability bands) use one
+boolean bisection with a relative tolerance.
 """
 
 from __future__ import annotations
@@ -40,6 +42,21 @@ def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_I
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bisect_flag(pred, a: float, b: float, *, rtol: float) -> tuple:
+    """Boolean bisection: shrink [a, b] towards the point where pred stops
+    holding (pred(a) holds, pred(b) does not) until b - a <= rtol*max(1, |b|).
+    Robust to plateaus where a signed root finder would stall."""
+    for _ in range(MAX_ITER):
+        if b - a <= rtol * max(1.0, abs(b)):
+            break
+        mid = 0.5 * (a + b)
+        if pred(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
 
 
 def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,

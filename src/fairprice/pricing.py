@@ -23,6 +23,7 @@ import numpy as np
 from .cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
 from .dist import TAIL_MASS, MarketSlice, delta, delta_inverse, gap_profile
 from .errors import NonMonotoneSegment, OutOfRange, ValidationError
+from .numerics import _bisect_flag
 
 FORMULAS = (
     "identity",
@@ -35,6 +36,7 @@ FORMULAS = (
 
 NONDISCRIMINATION_TOL = 1e-6
 PRICE_GRID = 10_001
+FLIP_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,31 @@ def _clip_breaks(points, lo, hi):
     return [min(max(p, lo), hi) for p in points]
 
 
+def _c1_segments(slice_: MarketSlice, k):
+    """Five-cutoff branch structure of the region-C1 rule for a cutoff vector
+    k; the noisy-value rule reuses it with its own cutoffs."""
+    lo, hi = slice_.support_lo, slice_.support_hi
+    f_l, f_h = slice_.f_l, slice_.f_h
+    d5 = float(delta(slice_, k.k5))
+    d4 = float(delta(slice_, k.k4))
+    d3 = float(delta(slice_, k.k3))
+    segs = _segments(
+        "l", _clip_breaks([lo, k.k2, k.k3], lo, hi) + [hi],
+        ["delta_upper_inverse_of_complement", "quantile_shift", "identity"],
+        ["priced-out", "discounted-shift", "full-extraction"],
+        [(("level", d5),),
+         (("offset", float(f_h.cdf(k.k1)) - float(f_l.cdf(k.k2))),),
+         ()],
+    )
+    segs += _segments(
+        "h", _clip_breaks([lo, k.k1, k.k4, k.k5], lo, hi) + [hi],
+        ["delta_lower_inverse_shift", "identity", "quantile_shift", "identity"],
+        ["priced-out", "full-extraction", "discounted-shift", "full-extraction"],
+        [(("offset", d3),), (), (("offset", d4),), ()],
+    )
+    return segs
+
+
 @lru_cache(maxsize=512)
 def build_p_star(slice_: MarketSlice) -> PricingRule:
     """Profit-maximizing non-discriminatory rule, dispatched on the region."""
@@ -209,23 +236,7 @@ def build_p_star(slice_: MarketSlice) -> PricingRule:
 
     if region is Region.C1:
         k = solve_kappa(slice_)
-        d5 = float(delta(slice_, k.k5))
-        d4 = float(delta(slice_, k.k4))
-        d3 = float(delta(slice_, k.k3))
-        segs = _segments(
-            "l", _clip_breaks([lo, k.k2, k.k3], lo, hi) + [hi],
-            ["delta_upper_inverse_of_complement", "quantile_shift", "identity"],
-            ["priced-out", "discounted-shift", "full-extraction"],
-            [(("level", d5),),
-             (("offset", float(f_h.cdf(k.k1)) - float(f_l.cdf(k.k2))),),
-             ()],
-        )
-        segs += _segments(
-            "h", _clip_breaks([lo, k.k1, k.k4, k.k5], lo, hi) + [hi],
-            ["delta_lower_inverse_shift", "identity", "quantile_shift", "identity"],
-            ["priced-out", "full-extraction", "discounted-shift", "full-extraction"],
-            [(("offset", d3),), (), (("offset", d4),), ()],
-        )
+        segs = _c1_segments(slice_, k)
         if k.k2 > lo + 1e-15:
             notes.append("upper-branch gap inverse reaches the 1-1e-10 quantile cap near the "
                          "priced-out boundary")
@@ -300,26 +311,7 @@ def q_star(slice_: MarketSlice) -> float:
 def build_p_tilde_star(slice_: MarketSlice) -> PricingRule:
     """Optimal rule under noisy values (uniform on [0, 2v]); same branch
     structure as the C1 rule with the noisy-variant cutoffs substituted."""
-    k = solve_kappa_tilde(slice_)
-    lo, hi = slice_.support_lo, slice_.support_hi
-    f_l, f_h = slice_.f_l, slice_.f_h
-    d5 = float(delta(slice_, k.k5))
-    d4 = float(delta(slice_, k.k4))
-    d3 = float(delta(slice_, k.k3))
-    segs = _segments(
-        "l", _clip_breaks([lo, k.k2, k.k3], lo, hi) + [hi],
-        ["delta_upper_inverse_of_complement", "quantile_shift", "identity"],
-        ["priced-out", "discounted-shift", "full-extraction"],
-        [(("level", d5),),
-         (("offset", float(f_h.cdf(k.k1)) - float(f_l.cdf(k.k2))),),
-         ()],
-    )
-    segs += _segments(
-        "h", _clip_breaks([lo, k.k1, k.k4, k.k5], lo, hi) + [hi],
-        ["delta_lower_inverse_shift", "identity", "quantile_shift", "identity"],
-        ["priced-out", "full-extraction", "discounted-shift", "full-extraction"],
-        [(("offset", d3),), (), (("offset", d4),), ()],
-    )
+    segs = _c1_segments(slice_, solve_kappa_tilde(slice_))
     return PricingRule(name="p_tilde_star", slice=slice_, segments=tuple(segs))
 
 
@@ -346,26 +338,33 @@ class PriceDistribution:
 
     def cdf(self, x):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        slice_ = self.rule.slice
-        dist = slice_.f_l if self.theta == "l" else slice_.f_h
-        total = np.zeros_like(x_arr)
-        for seg in self.rule.segments_for(self.theta):
-            mass_lo = float(dist.cdf(seg.v_lo))
-            mass_hi = float(dist.cdf(seg.v_hi)) if math.isfinite(seg.v_hi) else 1.0
-            if mass_hi - mass_lo <= 0.0:
-                continue
-            if seg.formula == "constant":
-                p0 = max(seg.param("price"), slice_.c)
-                total += np.where(x_arr >= p0 - 1e-12, mass_hi - mass_lo, 0.0)
-            else:
-                inv = _invert_formula(seg, slice_, x_arr)
-                v_at = np.clip(inv, seg.v_lo, seg.v_hi)
-                total += np.where(
-                    np.isneginf(inv), 0.0,
-                    np.where(np.isposinf(inv), mass_hi - mass_lo,
-                             np.asarray(dist.cdf(v_at)) - mass_lo))
-        out = np.clip(total, 0.0, 1.0)
+        pieces = [(seg.v_lo, seg.v_hi, seg) for seg in self.rule.segments_for(self.theta)]
+        out = np.clip(_pushforward(self.rule.slice, self.theta, pieces, x_arr), 0.0, 1.0)
         return out if np.asarray(x).shape else float(out[0])
+
+
+def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray) -> np.ndarray:
+    """P(value in some piece, price <= x) for the theta-group over value
+    pieces (a, b, seg): monotone segments invert analytically, constant ones
+    contribute atoms."""
+    dist = slice_.f_l if theta == "l" else slice_.f_h
+    total = np.zeros_like(x)
+    for a, b, seg in pieces:
+        mass_lo = float(dist.cdf(a))
+        mass_hi = float(dist.cdf(b)) if math.isfinite(b) else 1.0
+        if mass_hi - mass_lo <= 0.0:
+            continue
+        if seg.formula == "constant":
+            p0 = max(seg.param("price"), slice_.c)
+            total += np.where(x >= p0 - 1e-12, mass_hi - mass_lo, 0.0)
+        else:
+            inv = _invert_formula(seg, slice_, x)
+            v_at = np.clip(inv, a, b)
+            total += np.where(
+                np.isneginf(inv), 0.0,
+                np.where(np.isposinf(inv), mass_hi - mass_lo,
+                         np.clip(np.asarray(dist.cdf(v_at)) - mass_lo, 0.0, None)))
+    return total
 
 
 def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistribution:
@@ -417,22 +416,6 @@ def check_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:
     return float(np.max(np.abs(pd_l.cdf(grid) - pd_h.cdf(grid))))
 
 
-def _flip_boundary(no_sale, a: float, b: float, xtol: float = 1e-13) -> float:
-    """Boundary between a no-sale stretch and a sale stretch by boolean
-    bisection; robust to the price-equals-value plateaus where a signed root
-    finder would stall."""
-    state_a = no_sale(a)
-    for _ in range(200):
-        if b - a <= xtol * max(1.0, abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if no_sale(mid) == state_a:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
     """Partition each segment into maximal stretches of constant sale
     indicator (value at or above price). Pieces beyond the working cap carry
@@ -453,7 +436,10 @@ def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
         cuts = [float(seg.v_lo)]
         for a, b, fa, fb in zip(grid[:-1], grid[1:], flags[:-1], flags[1:]):
             if fa != fb:
-                root = _flip_boundary(lambda v: bool(no_sale(v)), float(a), float(b))
+                start = bool(no_sale(float(a)))
+                left, right = _bisect_flag(lambda v: bool(no_sale(v)) == start, float(a), float(b),
+                                           rtol=FLIP_RTOL)
+                root = 0.5 * (left + right)
                 if root - cuts[-1] > 1e-12:
                     cuts.append(root)
         if hi_eff - cuts[-1] > 1e-12:
@@ -469,38 +455,20 @@ def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
     return pieces
 
 
-def _joint_outcome_cdf(rule: PricingRule, slice_: MarketSlice, theta: str, x: np.ndarray):
-    """P(price <= x, sale = y) per group, from the sale-piece partition.
-    Detects the stronger outcome-level discrimination that the price cdf
-    alone cannot see."""
-    dist = slice_.f_l if theta == "l" else slice_.f_h
-    out = {True: np.zeros_like(x), False: np.zeros_like(x)}
-    for a, b, seg, sale in sale_pieces(rule, slice_, theta):
-        mass_lo = float(dist.cdf(a))
-        mass_hi = 1.0 if math.isinf(b) else float(dist.cdf(b))
-        if mass_hi - mass_lo <= 0.0:
-            continue
-        if seg.formula == "constant":
-            p0 = max(seg.param("price"), slice_.c)
-            out[sale] += np.where(x >= p0 - 1e-12, mass_hi - mass_lo, 0.0)
-        else:
-            inv = _invert_formula(seg, slice_, x)
-            v_at = np.clip(inv, a, b)
-            out[sale] += np.where(
-                np.isneginf(inv), 0.0,
-                np.where(np.isposinf(inv), mass_hi - mass_lo,
-                         np.clip(np.asarray(dist.cdf(v_at)) - mass_lo, 0.0, None)))
-    return out
-
-
 def check_outcome_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:
     """Supremum gap between the groups' joint (price, sale) distributions;
-    a rule induces non-discriminatory outcomes iff this is at most 1e-6."""
+    a rule induces non-discriminatory outcomes iff this is at most 1e-6.
+    Detects the stronger outcome-level discrimination that the price cdf
+    alone cannot see."""
     grid = _price_grid(rule, slice_)
-    joint_l = _joint_outcome_cdf(rule, slice_, "l", grid)
-    joint_h = _joint_outcome_cdf(rule, slice_, "h", grid)
-    return float(max(np.max(np.abs(joint_l[True] - joint_h[True])),
-                     np.max(np.abs(joint_l[False] - joint_h[False]))))
+    pieces = {theta: sale_pieces(rule, slice_, theta) for theta in ("l", "h")}
+    gap = 0.0
+    for sale in (True, False):
+        joint_l, joint_h = (
+            _pushforward(slice_, theta, [p[:3] for p in pieces[theta] if p[3] == sale], grid)
+            for theta in ("l", "h"))
+        gap = max(gap, float(np.max(np.abs(joint_l - joint_h))))
+    return gap
 
 
 def rule_to_dict(rule: PricingRule) -> dict:

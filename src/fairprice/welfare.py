@@ -266,16 +266,3 @@ def bbm_triangle(market: Market):
     _, r_star = uniform_price_revenue(market)
     return ((ev, 0.0), (r_star, 0.0), (r_star, ev - r_star))
 
-
-def aggregate_reports(market: Market, reports) -> dict:
-    """Weight per-slice reports by the market's cost weights."""
-    reports = list(reports)
-    if len(reports) != len(market.slices):
-        raise ValidationError("need one report per market slice")
-    keys = ("profit", "cs_l", "cs_h", "wl_l", "wl_h", "gains")
-    agg = {k: 0.0 for k in keys}
-    for (slice_, w), rep in zip(market.slices, reports):
-        for k in keys:
-            agg[k] += w * getattr(rep, k)
-    agg["share"] = agg["profit"] / agg["gains"] if agg["gains"] > 0 else math.nan
-    return agg

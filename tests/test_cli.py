@@ -103,6 +103,37 @@ class TestValidation:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert run(cfg, "verify", out_dir=tmp_path / "out", oracle_n=7) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("c", float("nan")),
+        ("c", float("inf")),
+        ("weight", float("nan")),
+    ], ids=["cost-nan", "cost-inf", "weight-nan"])
+    def test_non_finite_slice_input_is_config_error(self, tmp_path, key, value):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["market"]["slices"][0][key] = value
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
+        assert not (out / "welfare.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: 3.0,
+        lambda s: {**s, "f_l": {"family": "exponential", "mean": "abc"}},
+        lambda s: {k: v for k, v in s.items() if k != "alpha"},
+        lambda s: {**s, "alpha": 0.0},
+    ], ids=["slice-not-object", "non-numeric-mean", "missing-alpha", "unsupported-alpha"])
+    def test_malformed_or_unsupported_slice_is_config_error(self, tmp_path, edit):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["market"]["slices"][0] = edit(payload["market"]["slices"][0])
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
+        assert err["error"] in ("ValidationError", "UnsupportedConfiguration")
+
     def test_lr_order_violation_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["f_l"]["mean"] = 5.0

@@ -203,6 +203,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             MarketSlice(c=0.0, alpha=1.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
 
+    @pytest.mark.parametrize("c, alpha", [(math.nan, 0.5), (math.inf, 0.5),
+                                          (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_cost_or_share(self, c, alpha):
+        with pytest.raises(ValidationError):
+            MarketSlice(c=c, alpha=alpha, f_l=Exponential(1.0), f_h=Exponential(3.0))
+
+    def test_market_weights_must_be_finite(self, exp13):
+        with pytest.raises(ValidationError):
+            Market(slices=((exp13, math.nan),))
+
     def test_market_weights_must_sum_to_one(self, exp13):
         with pytest.raises(ValidationError):
             Market(slices=((exp13, 0.5),))

@@ -130,10 +130,17 @@ def _parse_market(spec: dict) -> Market:
     return Market(slices=tuple(pairs))
 
 
+def _number(value, where: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _grid(values, where: str):
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{where} must be a nonempty list")
-    return [float(v) for v in values]
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 class ExperimentConfig:
@@ -151,8 +158,8 @@ class ExperimentConfig:
         if "market" not in raw:
             raise ValidationError("config needs a 'market' section")
         self.market = _parse_market(raw["market"])
-        self.seed = int(raw.get("seed", 0))
-        self.oracle_n = int(raw.get("oracle_n", 400))
+        self.seed = _number(raw.get("seed", 0), "seed", int)
+        self.oracle_n = _number(raw.get("oracle_n", 400), "oracle_n", int)
         if not (10 <= self.oracle_n <= 5000):
             raise ValidationError(f"oracle_n must lie in [10, 5000], got {self.oracle_n}")
         self.out_dir = raw.get("out_dir")
@@ -178,7 +185,7 @@ class ExperimentConfig:
         _require_keys(outcomes, {"sigma_fractions", "n_atoms"}, "outcomes")
         self.sigma_fractions = _grid(outcomes["sigma_fractions"], "outcomes.sigma_fractions") \
             if "sigma_fractions" in outcomes else [0.0, 0.25, 0.5, 0.75, 1.0]
-        self.outcome_atoms = int(outcomes.get("n_atoms", 10_000))
+        self.outcome_atoms = _number(outcomes.get("n_atoms", 10_000), "outcomes.n_atoms", int)
 
 
 def _pool_size() -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile, reflect_g_h
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import _bisect_flag, adaptive_simpson, bisect
+from .numerics import _bisect_flag, adaptive_simpson, bisect, gauss_legendre
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
@@ -204,37 +204,33 @@ def _tilde_integrand(slice_: MarketSlice, shift: float):
     return integrand
 
 
-def _tilde_inner(slice_: MarketSlice, k5: float):
-    """Given a candidate top cutoff, recover (k1..k4, residual) or report why
-    the middle equation is infeasible ('small' / 'large').
+def _tilde_band(slice_: MarketSlice, k5: float):
+    """Given a candidate top cutoff, return (k2, k4, d5, harmonic, middle) or
+    report why the middle equation has no usable root ('small' / 'large').
 
     The harmonic level is pinned by continuity of the low-side dual at the
     top cutoff: harmonic = (right integral) - (k5 - k4)/4. The right integrand
     stays above 1/4 on [k4, k5], so the level is nonnegative.
     """
     gp = gap_profile(slice_)
-    f_l, f_h = slice_.f_l, slice_.f_h
     k4, _ = reflect_g_h(slice_, k5)
     d5 = float(delta(slice_, k5))
-    k2 = float(f_l.quantile(min(d5, 1.0)))
-    right = adaptive_simpson(_tilde_integrand(slice_, d5), k4, k5, tol=QUAD_TOL)
-    harmonic = right - (k5 - k4) / 4.0
+    k2 = float(slice_.f_l.quantile(min(d5, 1.0)))
+
+    def integral(shift, a, b):  # split at the kink F_l^{-1}(shift) of the clipped quantile
+        kink = float(slice_.f_l.quantile(min(max(shift, 0.0), 1.0)))
+        return gauss_legendre(_tilde_integrand(slice_, shift), a, b, split=kink)
+
+    harmonic = integral(d5, k4, k5) - (k5 - k4) / 4.0
 
     def middle(k3):
-        shift = float(delta(slice_, k3))
-        inner = adaptive_simpson(_tilde_integrand(slice_, shift), k2, k3, tol=QUAD_TOL)
-        return k3 / 4.0 - inner - harmonic
+        return k3 / 4.0 - integral(float(delta(slice_, k3)), k2, k3) - harmonic
 
     if middle(k2) > 0.0:
-        return None, "small"
-    if middle(gp.v_star) < 0.0:
-        return None, "large"
-    k3 = bisect(middle, k2, gp.v_star)
-    if harmonic >= k2:
-        return None, "large"
-    k1 = harmonic * k2 / (k2 - harmonic)
-    residual = d5 - float(delta(slice_, k3)) - float(f_h.cdf(k1))
-    return (k1, k2, k3, k4, harmonic), residual
+        return "small"
+    if middle(gp.v_star) < 0.0 or harmonic >= k2:
+        return "large"
+    return k2, k4, d5, harmonic, middle
 
 
 @lru_cache(maxsize=128)
@@ -242,9 +238,13 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     """Cutoffs for the noisy-value variant (values uniform on [0, 2v]),
     solved for the c = 0, alpha = 1/2 specialization only.
 
-    Outer bisection runs on the top cutoff; each evaluation solves the middle
+    A walk and two boolean bisections locate the band of top cutoffs on
+    which the middle equation is solvable. Brent's method then solves the
+    outer residual for k5 on that band; each evaluation solves the middle
     quadratic-integral equation for k3, reads k1 from the harmonic identity,
-    and scores the remaining quantile equality.
+    and scores the remaining quantile equality. The solve loop integrates
+    with a fixed Gauss-Legendre rule; the residuals reported and checked
+    are recomputed by adaptive Simpson at QUAD_TOL.
     """
     if abs(slice_.c) > 1e-12 or abs(slice_.alpha - 0.5) > 1e-12:
         raise UnsupportedConfiguration(
@@ -255,7 +255,8 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     cap = slice_.cap()
 
     def status(k5):
-        return _tilde_inner(slice_, k5)[1]
+        band = _tilde_band(slice_, k5)
+        return band if isinstance(band, str) else "ok"
 
     # The middle equation is solvable only on a band of k5 values: below it
     # the right integral is too small ('small'), above it the k3 root would
@@ -290,35 +291,22 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
                                 cap=cap)
     hi_feas, _ = _bisect_flag(lambda v: status(v) != "large", prev, walk, rtol=BAND_RTOL)
 
-    lo, hi = lo_feas, hi_feas
-    _, r_lo = _tilde_inner(slice_, lo)
-    _, r_hi = _tilde_inner(slice_, hi)
-    if not (r_lo > 0 >= r_hi or r_lo >= 0 > r_hi):
-        raise NoConvergence("outer residual does not change sign across the feasible band",
-                            band=(lo, hi), residuals=(r_lo, r_hi))
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        sol, res = _tilde_inner(slice_, mid)
-        if sol is None:
-            if res == "small":
-                lo = mid
-            else:
-                hi = mid
-            continue
-        if res == 0.0:
-            lo = hi = mid
-            break
-        if res > 0:
-            lo = mid
-        else:
-            hi = mid
-    k5 = 0.5 * (lo + hi)
-    sol, res = _tilde_inner(slice_, k5)
+    def outer(k5):
+        """(k1..k4) and the outer residual; an infeasible point inside the
+        band gets its side's sign ('small' positive, 'large' negative)."""
+        band = _tilde_band(slice_, k5)
+        if isinstance(band, str):
+            return None, 1.0 if band == "small" else -1.0
+        k2, k4, d5, harmonic, middle = band
+        k3 = bisect(middle, k2, gp.v_star)
+        k1 = harmonic * k2 / (k2 - harmonic)
+        return (k1, k2, k3, k4), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
+
+    k5 = bisect(lambda v: outer(v)[1], lo_feas, hi_feas)
+    sol, _ = outer(k5)
     if sol is None:
-        raise NoConvergence("outer bisection collapsed onto an infeasible point", k5=k5)
-    k1, k2, k3, k4, _ = sol
+        raise NoConvergence("outer root collapsed onto an infeasible point", k5=k5)
+    k1, k2, k3, k4 = sol
 
     d3 = float(delta(slice_, k3))
     d5 = float(delta(slice_, k5))

@@ -1,13 +1,16 @@
 """Root finding and quadrature primitives shared across the library.
 
-All target functions here are monotone on the chosen bracket, so plain
-bisection is used throughout: absolute tolerance 1e-12 on the argument,
-200-iteration cap. The vector variants run the same loop on numpy arrays.
-Boundaries of boolean predicates (sale flags, solvability bands) use one
-boolean bisection with a relative tolerance.
+All target functions here are monotone on the chosen bracket. Scalar roots
+use Brent's method (absolute tolerance 1e-12 on the argument, 200-iteration
+cap); the vector variants run bisection on numpy arrays. Boundaries of
+boolean predicates (sale flags, solvability bands) use one boolean bisection
+with a relative tolerance. Quadrature is adaptive Simpson to a tolerance, or
+a fixed Gauss-Legendre rule for smooth integrands inside solve loops.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,33 +18,55 @@ from .errors import NoConvergence
 
 XTOL = 1e-12
 MAX_ITER = 200
+EPS = float(np.finfo(float).eps)
 
 
 def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_ITER) -> float:
-    """Root of f on [lo, hi]; f(lo) and f(hi) must not have the same strict sign."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise NoConvergence(
-            "bisection bracket does not straddle a root",
-            lo=lo, hi=hi, f_lo=flo, f_hi=fhi,
-        )
+    """Root of f on [lo, hi] by Brent's method; f(lo) and f(hi) must not have
+    the same strict sign. Stops once the bracket is xtol wide (plus a few ulps
+    of the root) and returns the end with the smaller |f|."""
+    a, b = lo, hi
+    fa = f(a)
+    if fa == 0.0:
+        return a
+    fb = f(b)
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise NoConvergence("bisection bracket does not straddle a root",
+                            lo=lo, hi=hi, f_lo=fa, f_hi=fb)
+    c, fc = b, fb
+    d = e = b - a
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if (fb > 0) == (fc > 0):  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            q, p = (-q if p > 0 else q), abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else (tol if m > 0 else -tol)
+        fb = f(b)
+    return b
 
 
 def _bisect_flag(pred, a: float, b: float, *, rtol: float) -> tuple:
@@ -141,3 +166,22 @@ def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10, max_depth: in
         right = np.column_stack([m[keep], hi[keep], fmid[keep], fr[keep], fhi[keep], s_right[keep], half])
         state = np.vstack([left, right])
     return total
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre_rule():
+    return np.polynomial.legendre.leggauss(32)
+
+
+def gauss_legendre(f, a: float, b: float, *, split=None) -> float:
+    """Fixed 32-node Gauss-Legendre quadrature of a vectorized integrand on
+    [a, b], exact for polynomials of degree <= 63. A split point inside (a, b)
+    (a kink of the integrand) gets the rule on each side; every node goes to
+    f in one call."""
+    if b <= a:
+        return 0.0
+    nodes, weights = _gauss_legendre_rule()
+    edges = np.array([a, split, b] if split is not None and a < split < b else [a, b], dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    xs = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+    return float(np.dot((half * weights).ravel(), np.asarray(f(xs), dtype=float)))

@@ -134,6 +134,22 @@ class TestValidation:
         assert err["exit_code"] == 2
         assert err["error"] in ("ValidationError", "UnsupportedConfiguration")
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(sweep={"alpha_grid": ["x"]}),
+        lambda p: p.update(seed="x"),
+        lambda p: p.update(oracle_n=[200]),
+        lambda p: p.update(outcomes={"n_atoms": "many"}),
+    ], ids=["grid-entry", "seed", "oracle-n", "n-atoms"])
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, edit):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        edit(payload)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "sweep", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
+        assert err["error"] == "ValidationError"
+
     def test_lr_order_violation_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["f_l"]["mean"] = 5.0

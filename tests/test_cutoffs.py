@@ -182,3 +182,38 @@ class TestSolveKappaTilde:
         with pytest.raises(UnsupportedConfiguration):
             solve_kappa_tilde(MarketSlice(c=0.0, alpha=0.4,
                                           f_l=Exponential(1.0), f_h=Exponential(3.0)))
+
+    # Cutoffs of exp(1) vs exp(m), c = 0, alpha = 1/2, as solved with adaptive
+    # Simpson inside the solve loop and plain bisection; the fixed-rule solve
+    # must reproduce them.
+    PINNED = {
+        2.0: (0.09047877058477537, 0.20989213869562937, 0.3874429077507191,
+              0.5852117562706246, 2.743333514398069),
+        3.0: (0.14495755287581896, 0.3615002498962009, 0.5522025503913518,
+              0.7357804903364112, 3.200297539719584),
+        4.0: (0.18674508939377624, 0.48138019721031244, 0.6780044372583633,
+              0.854118834561288, 3.5619785815076437),
+        5.0: (0.22112993368201975, 0.5812826763287584, 0.7814072864329888,
+              0.9527221240467798, 3.8628117396814927),
+    }
+
+    @pytest.mark.parametrize("m", sorted(PINNED))
+    def test_exponential_family_regression(self, m, monkeypatch):
+        import fairprice.cutoffs as cutoffs
+
+        calls = []
+        real = cutoffs.adaptive_simpson
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cutoffs, "adaptive_simpson", counting)
+        solve_kappa_tilde.cache_clear()
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
+        k = solve_kappa_tilde(s)
+        assert k.max_residual <= 1e-7
+        assert k.k1 <= k.k2 <= k.k3 <= k.k4 < gap_profile(s).v_star < k.k5
+        assert np.max(np.abs(np.asarray(k.as_tuple()) - self.PINNED[m])) <= 1e-8
+        # only the residual certificate runs the sequential quadrature
+        assert len(calls) <= 2

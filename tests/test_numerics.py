@@ -1,0 +1,75 @@
+import math
+
+import numpy as np
+import pytest
+
+from fairprice.cutoffs import _tilde_band, _tilde_integrand
+from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
+from fairprice.errors import NoConvergence
+from fairprice.numerics import adaptive_simpson, bisect, gauss_legendre
+
+
+class TestBrentBisect:
+    def test_exact_endpoint_roots_are_returned(self):
+        assert bisect(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert bisect(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(NoConvergence):
+            bisect(lambda x: x * x + 1.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: math.exp(x) - 2.0, math.log(2.0)),
+        (lambda x: (x - 0.3) ** 9, 0.3),
+        (lambda x: 1.0 if x < 0.3 else -1.0, 0.3),
+    ], ids=["smooth", "flat-x9", "sign-step"])
+    def test_lands_within_xtol(self, f, root):
+        for xtol in (1e-6, 1e-12):
+            assert abs(bisect(f, -1.0, 2.0, xtol=xtol) - root) <= xtol
+
+    def test_decreasing_function(self):
+        assert bisect(lambda x: 2.0 - x ** 3, 0.0, 5.0) == pytest.approx(2.0 ** (1 / 3), abs=1e-12)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("degree", [0, 1, 7, 31, 62, 63])
+    def test_exact_on_polynomials(self, degree):
+        coef = np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1)
+        poly = np.polynomial.Polynomial(coef)
+        exact = poly.integ()(0.7) - poly.integ()(-0.4)
+        assert gauss_legendre(poly, -0.4, 0.7) == pytest.approx(exact, abs=1e-14)
+        # a split inside the interval keeps exactness on each side
+        assert gauss_legendre(poly, -0.4, 0.7, split=0.1) == pytest.approx(exact, abs=1e-14)
+
+    def test_empty_interval_is_zero(self):
+        assert gauss_legendre(np.exp, 1.0, 1.0) == 0.0
+        assert gauss_legendre(np.exp, 2.0, 1.0) == 0.0
+
+    def test_break_outside_interval_is_ignored(self):
+        plain = gauss_legendre(np.exp, 0.0, 1.0)
+        for split in (-1.0, 0.0, 1.0, 2.0, None):
+            assert gauss_legendre(np.exp, 0.0, 1.0, split=split) == plain
+        assert plain == pytest.approx(math.e - 1.0, abs=1e-14)
+
+    def test_kink_split_handles_clipped_integrand(self):
+        # max(x - 0.3, 0)^2 has a kink at 0.3; split there, the rule is exact
+        f = lambda x: np.maximum(np.asarray(x) - 0.3, 0.0) ** 2
+        assert gauss_legendre(f, 0.0, 1.0, split=0.3) == pytest.approx(0.7 ** 3 / 3, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [2.0, 3.5, 5.0])
+    def test_matches_tight_simpson_on_noisy_value_integrand(self, m):
+        """The solve-loop integrals of the noisy-value cutoffs, the right one
+        on [k4, k5] and the middle one on [k2, k3], for top cutoffs across the
+        band on which the middle equation is solvable."""
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
+        v_star = gap_profile(s).v_star
+        band = [(k5, b) for k5 in np.linspace(v_star, 2.0 * v_star + 2.0, 201)
+                if not isinstance(b := _tilde_band(s, k5), str)]
+        assert len(band) >= 10
+        for k5, (k2, k4, d5, _, _) in band[::3]:
+            cases = [(d5, k4, k5)]
+            cases += [(float(delta(s, k3)), k2, k3) for k3 in np.linspace(k2, v_star, 4)[1:]]
+            for shift, a, b in cases:
+                f = _tilde_integrand(s, shift)
+                got = gauss_legendre(f, a, b, split=float(s.f_l.quantile(shift)))
+                assert got == pytest.approx(adaptive_simpson(f, a, b, tol=1e-13), abs=1e-13)

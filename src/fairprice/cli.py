@@ -143,6 +143,23 @@ def _grid(values, where: str):
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
+def _grids(raw: dict, section: str, defaults: dict, other_keys=()):
+    """The grids of one optional config section, in the order of defaults;
+    an absent grid takes its default."""
+    obj = raw.get(section, {})
+    if not isinstance(obj, dict):
+        raise ValidationError(f"'{section}' must be an object")
+    _require_keys(obj, set(defaults) | set(other_keys), section)
+    return [_grid(obj[k], f"{section}.{k}") if k in obj else d for k, d in defaults.items()]
+
+
+def _oracle_n(value) -> int:
+    n = _number(value, "oracle_n", int)
+    if not (10 <= n <= 5000):
+        raise ValidationError(f"oracle_n must lie in [10, 5000], got {n}")
+    return n
+
+
 class ExperimentConfig:
     """Validated experiment description (schema version 1)."""
 
@@ -159,33 +176,19 @@ class ExperimentConfig:
             raise ValidationError("config needs a 'market' section")
         self.market = _parse_market(raw["market"])
         self.seed = _number(raw.get("seed", 0), "seed", int)
-        self.oracle_n = _number(raw.get("oracle_n", 400), "oracle_n", int)
-        if not (10 <= self.oracle_n <= 5000):
-            raise ValidationError(f"oracle_n must lie in [10, 5000], got {self.oracle_n}")
+        self.oracle_n = _oracle_n(raw.get("oracle_n", 400))
         self.out_dir = raw.get("out_dir")
-
-        sweep = raw.get("sweep", {})
-        _require_keys(sweep, {"alpha_grid", "gamma_grid", "gains_grid"}, "sweep")
-        self.sweep_alpha = _grid(sweep["alpha_grid"], "sweep.alpha_grid") if "alpha_grid" in sweep else None
-        self.sweep_gamma = _grid(sweep["gamma_grid"], "sweep.gamma_grid") if "gamma_grid" in sweep else None
-        self.sweep_gains = _grid(sweep["gains_grid"], "sweep.gains_grid") if "gains_grid" in sweep else None
-
-        figures = raw.get("figures", {})
-        _require_keys(figures, {"m_grid", "alpha_grid", "cost_grid", "beta_grid"}, "figures")
-        self.fig_m_grid = _grid(figures["m_grid"], "figures.m_grid") if "m_grid" in figures \
-            else [1.5 + 0.5 * i for i in range(18)]
-        self.fig_alpha_grid = _grid(figures["alpha_grid"], "figures.alpha_grid") if "alpha_grid" in figures \
-            else [round(0.05 * i, 2) for i in range(1, 20)]
-        self.fig_cost_grid = _grid(figures["cost_grid"], "figures.cost_grid") if "cost_grid" in figures \
-            else [0.25 * i for i in range(1, 13)]
-        self.fig_beta_grid = _grid(figures["beta_grid"], "figures.beta_grid") if "beta_grid" in figures \
-            else [0.0, 0.5, 1.0]
-
-        outcomes = raw.get("outcomes", {})
-        _require_keys(outcomes, {"sigma_fractions", "n_atoms"}, "outcomes")
-        self.sigma_fractions = _grid(outcomes["sigma_fractions"], "outcomes.sigma_fractions") \
-            if "sigma_fractions" in outcomes else [0.0, 0.25, 0.5, 0.75, 1.0]
-        self.outcome_atoms = _number(outcomes.get("n_atoms", 10_000), "outcomes.n_atoms", int)
+        self.sweep_alpha, self.sweep_gamma, self.sweep_gains = _grids(
+            raw, "sweep", {"alpha_grid": None, "gamma_grid": None, "gains_grid": None})
+        self.fig_m_grid, self.fig_alpha_grid, self.fig_cost_grid, self.fig_beta_grid = _grids(
+            raw, "figures", {"m_grid": [1.5 + 0.5 * i for i in range(18)],
+                             "alpha_grid": [round(0.05 * i, 2) for i in range(1, 20)],
+                             "cost_grid": [0.25 * i for i in range(1, 13)],
+                             "beta_grid": [0.0, 0.5, 1.0]})
+        self.sigma_fractions, = _grids(
+            raw, "outcomes", {"sigma_fractions": [0.0, 0.25, 0.5, 0.75, 1.0]}, {"n_atoms"})
+        self.outcome_atoms = _number(raw.get("outcomes", {}).get("n_atoms", 10_000),
+                                     "outcomes.n_atoms", int)
 
 
 def _pool_size() -> int:
@@ -264,17 +267,31 @@ def _load_kappa_overrides(out: Path, market: Market):
     path = out / "kappa.json"
     if not path.exists():
         return {}
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"kappa.json is not valid JSON: {exc}") from exc
+    if not isinstance(doc, list) or not all(isinstance(entry, dict) for entry in doc):
+        raise ValidationError("kappa.json must be a list of objects")
     overrides = {}
-    for entry in doc:
-        i = entry.get("slice")
+    for j, entry in enumerate(doc):
         payload = entry.get("kappa")
-        if payload is None or i is None or i >= len(market.slices):
+        if payload is None:
             continue
-        slice_ = market.slices[i][0]
-        ks = tuple(float(payload[k]) for k in ("k1", "k2", "k3", "k4", "k5"))
-        overrides[i] = Kappa(*ks, residuals=_standard_residuals(slice_, *ks),
+        where = f"kappa.json[{j}]"
+        i = entry.get("slice")
+        if type(i) is not int or not 0 <= i < len(market.slices):
+            raise ValidationError(
+                f"{where}.slice must be an integer in [0, {len(market.slices)}), got {i!r}")
+        if not isinstance(payload, dict):
+            raise ValidationError(f"{where}.kappa must be an object")
+        names = ("k1", "k2", "k3", "k4", "k5")
+        missing = [k for k in names if k not in payload]
+        if missing:
+            raise ValidationError(f"{where}.kappa is missing {missing}")
+        ks = tuple(_number(payload[k], f"{where}.kappa.{k}") for k in names)
+        overrides[i] = Kappa(*ks, residuals=_standard_residuals(market.slices[i][0], *ks),
                              variant=payload.get("variant", "standard"))
     return overrides
 
@@ -326,56 +343,59 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
         raise VerificationFailure(failures)
 
 
-def _profit_share_rows(m_grid):
-    def one(m):
-        rows = []
-        if m <= 1.0:
-            raise ValidationError("mean ratios in figures.m_grid must exceed 1")
-        slice_ = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
-        total = welfare_report(build_p_star(slice_), slice_).gains
-        for label, rule in (
-                ("p_star", build_p_star(slice_)),
-                ("p_ass", build_p_ass(slice_)),
-                ("p_anti_qstar", build_p_anti(slice_, q_star(slice_))),
-                ("p_anti_1", build_p_anti(slice_, 1.0)),
-        ):
-            profit = welfare_report(rule, slice_).profit
-            rows.append((m, label, profit, total, profit / total))
-        _, revenue = uniform_price_revenue(slice_)
-        rows.append((m, "uniform", revenue, total, revenue / total))
-        return rows
-
-    return [row for rows in _parallel_map(one, list(m_grid)) for row in rows]
+def _sweep_points(template: MarketSlice, axis: str, grid, where: str):
+    """Slices along one axis of a template: 'alpha' moves the group share,
+    'gamma' the mean ratio of an exponential pair (low mean fixed), and
+    'cost_scale' the cost together with the scale of a scaled-family pair."""
+    if axis == "alpha":
+        return [MarketSlice(c=template.c, alpha=a, f_l=template.f_l, f_h=template.f_h) for a in grid]
+    if axis == "gamma":
+        if not isinstance(template.f_l, Exponential):
+            raise ValidationError("gamma sweeps need an exponential low-group template")
+        if any(g <= 1.0 for g in grid):
+            raise ValidationError(f"{where} entries must exceed 1")
+        return [MarketSlice(c=template.c, alpha=template.alpha, f_l=template.f_l,
+                            f_h=Exponential(template.f_l.mean_value * g)) for g in grid]
+    if not isinstance(template.f_l, ScaledFamily):
+        raise ValidationError("gains sweeps need a scaled-family template")
+    return [MarketSlice(c=c, alpha=template.alpha, f_l=ScaledFamily(template.f_l.base, c),
+                        f_h=ScaledFamily(template.f_h.base, c)) for c in grid]
 
 
-def _cs_alpha_rows(alpha_grid):
-    def one(alpha):
-        slice_ = MarketSlice(c=0.0, alpha=alpha, f_l=Exponential(1.0), f_h=Exponential(3.0))
-        rep = welfare_report(build_p_star(slice_), slice_)
-        return (alpha, rep.cs_l, rep.cs_h, rep.profit, rep.share)
-
-    return _parallel_map(one, list(alpha_grid))
+def _star_reports(slices):
+    """Welfare report of the optimal rule on each slice, on the worker pool."""
+    return _parallel_map(lambda s: welfare_report(build_p_star(s), s), slices)
 
 
-def _cs_gains_rows(cost_grid):
-    offending = []
-    for c in cost_grid:
-        slice_ = MarketSlice(c=c, alpha=0.5,
-                             f_l=ScaledFamily(Exponential(1.0), c),
-                             f_h=ScaledFamily(Exponential(12.0), c))
-        if classify_region(slice_) is not Region.C1 and abs(c) > 1e-12:
-            offending.append(c)
+def _benchmark_profits(slice_: MarketSlice):
+    """Profits of the assortative rule, the anti-assortative rule at q* and at
+    1, and the uniform price."""
+    rules = (build_p_ass(slice_), build_p_anti(slice_, q_star(slice_)), build_p_anti(slice_, 1.0))
+    return [welfare_report(rule, slice_).profit for rule in rules] + [uniform_price_revenue(slice_)[1]]
+
+
+def _profit_share_rows(template: MarketSlice, m_grid):
+    slices = _sweep_points(template, "gamma", m_grid, "figures.m_grid")
+    rows = []
+    for m, rep, others in zip(m_grid, _star_reports(slices), _parallel_map(_benchmark_profits, slices)):
+        for label, profit in zip(("p_star", "p_ass", "p_anti_qstar", "p_anti_1", "uniform"),
+                                 (rep.profit, *others)):
+            rows.append((m, label, profit, rep.gains, profit / rep.gains))
+    return rows
+
+
+def _cs_alpha_rows(template: MarketSlice, alpha_grid):
+    reports = _star_reports(_sweep_points(template, "alpha", alpha_grid, "figures.alpha_grid"))
+    return [(a, rep.cs_l, rep.cs_h, rep.profit, rep.share) for a, rep in zip(alpha_grid, reports)]
+
+
+def _cs_gains_rows(template: MarketSlice, cost_grid):
+    slices = _sweep_points(template, "cost_scale", cost_grid, "figures.cost_grid")
+    offending = [s.c for s in slices if classify_region(s) is not Region.C1]
     if offending:
         raise RegionViolation("surplus-by-gains sweep needs admissible slices", offending=offending)
-
-    def one(c):
-        slice_ = MarketSlice(c=c, alpha=0.5,
-                             f_l=ScaledFamily(Exponential(1.0), c),
-                             f_h=ScaledFamily(Exponential(12.0), c))
-        rep = welfare_report(build_p_star(slice_), slice_)
-        return (c, rep.gains, rep.cs_l, rep.cs_h, rep.profit)
-
-    return _parallel_map(one, list(cost_grid))
+    return [(c, rep.gains, rep.cs_l, rep.cs_h, rep.profit)
+            for c, rep in zip(cost_grid, _star_reports(slices))]
 
 
 def _triangle_rows(beta_grid):
@@ -399,15 +419,18 @@ def _triangle_rows(beta_grid):
 def cmd_figures(config: ExperimentConfig, out: Path) -> None:
     fig_dir = out / "figures"
     fig_dir.mkdir(parents=True, exist_ok=True)
+    exp13 = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
     _write_csv(fig_dir / "profit_share.csv",
                ("m", "rule", "profit", "total_surplus", "share"),
-               _profit_share_rows(config.fig_m_grid))
+               _profit_share_rows(exp13, config.fig_m_grid))
     _write_csv(fig_dir / "cs_by_alpha.csv",
                ("alpha", "cs_l", "cs_h", "profit", "share"),
-               _cs_alpha_rows(config.fig_alpha_grid))
+               _cs_alpha_rows(exp13, config.fig_alpha_grid))
+    scaled = MarketSlice(c=1.0, alpha=0.5, f_l=ScaledFamily(Exponential(1.0), 1.0),
+                         f_h=ScaledFamily(Exponential(12.0), 1.0))
     _write_csv(fig_dir / "cs_by_gains.csv",
                ("c", "gains", "cs_l", "cs_h", "profit"),
-               _cs_gains_rows(config.fig_cost_grid))
+               _cs_gains_rows(scaled, config.fig_cost_grid))
     _write_csv(fig_dir / "triangle.csv",
                ("beta", "ev", "v1_profit", "v1_cs", "v2_profit", "v2_cs", "v3_profit", "v3_cs"),
                _triangle_rows(config.fig_beta_grid))
@@ -434,44 +457,18 @@ def cmd_outcomes(config: ExperimentConfig, out: Path) -> None:
                rows)
 
 
-def _sweep_template(config: ExperimentConfig) -> MarketSlice:
-    return config.market.slices[0][0]
-
-
 def cmd_sweep(config: ExperimentConfig, out: Path) -> None:
-    template = _sweep_template(config)
-    points = []
-    if config.sweep_alpha:
-        for a in config.sweep_alpha:
-            points.append(("alpha", a, MarketSlice(c=template.c, alpha=a,
-                                                   f_l=template.f_l, f_h=template.f_h)))
-    if config.sweep_gamma:
-        if not isinstance(template.f_l, Exponential):
-            raise ValidationError("gamma sweeps need an exponential low-group template")
-        for g in config.sweep_gamma:
-            if g <= 1.0:
-                raise ValidationError("gamma grid entries must exceed 1")
-            points.append(("gamma", g, MarketSlice(
-                c=template.c, alpha=template.alpha,
-                f_l=template.f_l, f_h=Exponential(template.f_l.mean_value * g))))
-    if config.sweep_gains:
-        if not isinstance(template.f_l, ScaledFamily):
-            raise ValidationError("gains sweeps need a scaled-family template")
-        for c in config.sweep_gains:
-            points.append(("cost_scale", c, MarketSlice(
-                c=c, alpha=template.alpha,
-                f_l=ScaledFamily(template.f_l.base, c),
-                f_h=ScaledFamily(template.f_h.base, c))))
+    template = config.market.slices[0][0]
+    axes = (("alpha", config.sweep_alpha, "sweep.alpha_grid"),
+            ("gamma", config.sweep_gamma, "sweep.gamma_grid"),
+            ("cost_scale", config.sweep_gains, "sweep.gains_grid"))
+    points = [(axis, value, slice_) for axis, grid, where in axes if grid
+              for value, slice_ in zip(grid, _sweep_points(template, axis, grid, where))]
     if not points:
         raise ValidationError("sweep command needs at least one grid in the 'sweep' section")
-
-    def one(point):
-        axis, value, slice_ = point
-        rep = welfare_report(build_p_star(slice_), slice_)
-        return (axis, value, slice_.c, slice_.alpha, rep.region, rep.profit,
-                rep.cs_l, rep.cs_h, rep.wl_l, rep.wl_h, rep.gains, rep.share)
-
-    rows = _parallel_map(one, points)
+    rows = [(axis, value, s.c, s.alpha, rep.region, rep.profit,
+             rep.cs_l, rep.cs_h, rep.wl_l, rep.wl_h, rep.gains, rep.share)
+            for (axis, value, s), rep in zip(points, _star_reports([p[2] for p in points]))]
     _write_csv(out / "sweep.csv",
                ("axis", "value", "c", "alpha", "region", "profit", "cs_l", "cs_h",
                 "wl_l", "wl_h", "gains", "share"),
@@ -500,11 +497,9 @@ def run(config_path, command: str, out_dir=None, oracle_n=None, seed=None) -> in
     try:
         config = ExperimentConfig(raw)
         if oracle_n is not None:
-            config.oracle_n = int(oracle_n)
-            if not (10 <= config.oracle_n <= 5000):
-                raise ValidationError(f"oracle n must lie in [10, 5000], got {config.oracle_n}")
+            config.oracle_n = _oracle_n(oracle_n)
         if seed is not None:
-            config.seed = int(seed)
+            config.seed = _number(seed, "seed", int)
         out = Path(out_dir) if out_dir else Path(config.out_dir or "out")
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[command](config, out)

@@ -104,6 +104,20 @@ def _anti_map(slice_: MarketSlice, level: float):
     return lambda x: slice_.f_l.quantile(np.clip(level - np.asarray(delta(slice_, x)), 0.0, 1.0))
 
 
+def _c1_bands(slice_: MarketSlice, k, low_inverse=None):
+    """The C1 regime map at cutoffs k as (bands, tail start, anti map): a gap
+    shift by Delta(k3) below k1, a quantile shift by Delta(k3) up to k3, the
+    diagonal up to k4, a quantile shift by Delta(k4) up to k5, and above k5
+    the partner low_inverse(Delta(k5) - Delta(x)), by default the clipped low
+    quantile."""
+    d3, d4, d5 = (float(delta(slice_, v)) for v in (k.k3, k.k4, k.k5))
+    bands = [(k.k1, _gap_shift(slice_, d3)), (k.k3, _quantile_shift(slice_, d3)),
+             (k.k4, lambda x: x), (k.k5, _quantile_shift(slice_, d4))]
+    anti = _anti_map(slice_, d5) if low_inverse is None \
+        else (lambda x: low_inverse(d5 - np.asarray(delta(slice_, x))))
+    return bands, k.k5, anti
+
+
 def build_rho_star(slice_: MarketSlice, n: int) -> Coupling:
     """Optimal coupling: discretize the high marginal into n equal-mass atoms
     and push each through the regime map of the slice's region."""
@@ -111,13 +125,7 @@ def build_rho_star(slice_: MarketSlice, n: int) -> Coupling:
         raise ValidationError(f"need at least 10 atoms, got {n}")
     region = classify_region(slice_)
     if region is Region.C1:
-        k = solve_kappa(slice_)
-        d3 = float(delta(slice_, k.k3))
-        d4 = float(delta(slice_, k.k4))
-        d5 = float(delta(slice_, k.k5))
-        bands = [(k.k1, _gap_shift(slice_, d3)), (k.k3, _quantile_shift(slice_, d3)),
-                 (k.k4, lambda x: x), (k.k5, _quantile_shift(slice_, d4))]
-        return _assemble(slice_, n, bands, k.k5, _anti_map(slice_, d5), "rho_star")
+        return _assemble(slice_, n, *_c1_bands(slice_, solve_kappa(slice_)), "rho_star")
     if region is Region.C2:
         gp = gap_profile(slice_)
         eta = solve_eta(slice_)
@@ -158,13 +166,11 @@ def build_rho_tilde(slice_: MarketSlice, n: int) -> Coupling:
     if n < 10:
         raise ValidationError(f"need at least 10 atoms, got {n}")
     k = solve_kappa(slice_)
-    d3 = float(delta(slice_, k.k3))
-    d4 = float(delta(slice_, k.k4))
-    d5 = float(delta(slice_, k.k5))
-    bands = [(k.k1, _gap_shift(slice_, d3)), (k.k4, lambda x: x),
-             (k.k5, _quantile_shift(slice_, d4))]
-    return _assemble(slice_, n, bands, k.k5,
-                     lambda x: _j_inverse(slice_, d5 - np.asarray(delta(slice_, x))), "rho_tilde")
+    bands, tail_start, anti = _c1_bands(slice_, k, lambda q: _j_inverse(slice_, q))
+    # the discounted band collapses onto the diagonal; consecutive identity
+    # bands over the sorted atoms concatenate to one
+    bands[1] = (k.k3, lambda x: x)
+    return _assemble(slice_, n, bands, tail_start, anti, "rho_tilde")
 
 
 def mix_for_target_surplus(slice_: MarketSlice, sigma_l: float, n: int) -> Coupling:

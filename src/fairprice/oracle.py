@@ -14,8 +14,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cutoffs import solve_kappa_tilde
-from .dist import MarketSlice, delta, delta_inverse
+from .dist import MarketSlice
 from .errors import UnsupportedConfiguration, ValidationError
+from .matching import _c1_bands
 from .numerics import adaptive_simpson
 from .pricing import build_p_star
 from .welfare import pair_profit, welfare_report
@@ -102,42 +103,25 @@ def oracle_gap(slice_: MarketSlice, n: int) -> float:
 
 def tilde_transport_value(slice_: MarketSlice) -> float:
     """Analytic value of the noisy-objective matching: integrate the pair
-    profit along the regime map of the optimal noisy coupling."""
-    k = solve_kappa_tilde(slice_)
+    profit along the C1 regime map at the noisy cutoffs, band by band."""
     f_l, f_h = slice_.f_l, slice_.f_h
-    d3 = float(delta(slice_, k.k3))
-    d4 = float(delta(slice_, k.k4))
-    d5 = float(delta(slice_, k.k5))
-    cap = slice_.cap()
-
-    def against_fh(vl_of_vh, a, b):
-        if b <= a:
-            return 0.0
-        return adaptive_simpson(
-            lambda vh: np.asarray(tilde_pair_profit(vl_of_vh(np.asarray(vh)), vh))
-            * np.asarray(f_h.pdf(vh)), a, b, tol=1e-10)
-
-    lo = slice_.support_lo
-    total = against_fh(
-        lambda vh: np.asarray(delta_inverse(slice_, np.asarray(f_h.cdf(vh)) + d3, "lower")),
-        lo, k.k1)
-    total += against_fh(
-        lambda vh: np.asarray(f_l.quantile(np.clip(np.asarray(f_h.cdf(vh)) + d3, 0.0, 1.0))),
-        k.k1, k.k3)
-    total += against_fh(lambda vh: vh, k.k3, k.k4)
-    total += against_fh(
-        lambda vh: np.asarray(f_l.quantile(np.clip(np.asarray(f_h.cdf(vh)) + d4, 0.0, 1.0))),
-        k.k4, k.k5)
+    bands, tail_start, anti = _c1_bands(slice_, solve_kappa_tilde(slice_))
+    total, lower = 0.0, slice_.support_lo
+    for upper, regime_map in bands:
+        if upper > lower:
+            total += adaptive_simpson(
+                lambda vh: np.asarray(tilde_pair_profit(regime_map(np.asarray(vh)), vh))
+                * np.asarray(f_h.pdf(vh)), lower, upper, tol=1e-10)
+        lower = upper
 
     def tail(vh):
         vh = np.asarray(vh)
         dl = np.asarray(f_l.pdf(vh))
         dh = np.asarray(f_h.pdf(vh))
-        anti = np.asarray(f_l.quantile(np.clip(d5 - np.asarray(delta(slice_, vh)), 0.0, 1.0)))
         return (dl * np.asarray(tilde_pair_profit(vh, vh))
-                + (dh - dl) * np.asarray(tilde_pair_profit(anti, vh)))
+                + (dh - dl) * np.asarray(tilde_pair_profit(np.asarray(anti(vh)), vh)))
 
-    total += adaptive_simpson(tail, k.k5, cap, tol=1e-10)
+    total += adaptive_simpson(tail, tail_start, slice_.cap(), tol=1e-10)
     return float(total)
 
 

@@ -103,6 +103,13 @@ class TestValidation:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert run(cfg, "verify", out_dir=tmp_path / "out", oracle_n=7) == 2
 
+    @pytest.mark.parametrize("override", [{"oracle_n": "x"}, {"seed": "x"}], ids=["oracle-n", "seed"])
+    def test_non_numeric_override_is_config_error(self, tmp_path, override):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out, **override) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
     @pytest.mark.parametrize("key, value", [
         ("c", float("nan")),
         ("c", float("inf")),
@@ -139,7 +146,11 @@ class TestValidation:
         lambda p: p.update(seed="x"),
         lambda p: p.update(oracle_n=[200]),
         lambda p: p.update(outcomes={"n_atoms": "many"}),
-    ], ids=["grid-entry", "seed", "oracle-n", "n-atoms"])
+        lambda p: p.update(sweep=5),
+        lambda p: p.update(figures=None),
+        lambda p: p.update(outcomes=3.5),
+    ], ids=["grid-entry", "seed", "oracle-n", "n-atoms",
+            "sweep-not-object", "figures-null", "outcomes-not-object"])
     def test_non_numeric_config_value_is_config_error(self, tmp_path, edit):
         payload = json.loads(json.dumps(BASE_CONFIG))
         edit(payload)
@@ -149,6 +160,27 @@ class TestValidation:
         err = json.loads((out / "error.json").read_text())
         assert err["exit_code"] == 2
         assert err["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: "{not json",
+        lambda doc: doc[0].update(slice="0"),
+        lambda doc: doc[0].update(slice=7),
+        lambda doc: doc[0]["kappa"].pop("k2"),
+        lambda doc: doc[0]["kappa"].update(k3="abc"),
+    ], ids=["invalid-json", "non-integer-slice", "slice-out-of-range", "missing-cutoff",
+            "non-numeric-cutoff"])
+    def test_malformed_kappa_json_is_config_error(self, tmp_path, edit):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 0
+        doc = json.loads((out / "kappa.json").read_text())
+        text = edit(doc)
+        (out / "kappa.json").write_text(text if isinstance(text, str) else json.dumps(doc))
+        assert run(cfg, "verify", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
+        assert err["error"] == "ValidationError"
+        assert "kappa.json" in err["message"]
 
     def test_lr_order_violation_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
@@ -215,6 +247,39 @@ class TestFigures:
         # scaled family: surplus linear in the cost scale
         ratio = float(gains_rows[1]["cs_l"]) / float(gains_rows[0]["cs_l"])
         assert ratio == pytest.approx(2.0, rel=1e-6)
+
+    def test_sweep_tables_match_sweep_command(self, tmp_path):
+        exp13 = json.loads(json.dumps(BASE_CONFIG))
+        exp13["sweep"] = {"alpha_grid": [0.25, 0.6]}
+        exp13["figures"] = {"m_grid": [2.0], "alpha_grid": [0.25, 0.6], "cost_grid": [0.5, 2.0],
+                            "beta_grid": [0.5]}
+        scaled = json.loads(json.dumps(exp13))
+        scaled["market"]["slices"][0].update(
+            c=1.0, f_l={"family": "scaled", "scale": 1.0, "base": {"family": "exponential", "mean": 1.0}},
+            f_h={"family": "scaled", "scale": 1.0, "base": {"family": "exponential", "mean": 12.0}})
+        scaled["sweep"] = {"gains_grid": [0.5, 2.0]}
+        for name, payload in (("exp13", exp13), ("scaled", scaled)):
+            assert run(write_config(tmp_path, payload, f"{name}.json"), "sweep",
+                       out_dir=tmp_path / name) == 0
+        assert run(tmp_path / "exp13.json", "figures", out_dir=tmp_path / "fig") == 0
+
+        def columns(rows, keys):
+            return [[row[k] for k in keys] for row in rows]
+
+        keys = ("alpha", "cs_l", "cs_h", "profit", "share")
+        assert columns(read_csv(tmp_path / "fig" / "figures" / "cs_by_alpha.csv"), keys) == \
+            columns(read_csv(tmp_path / "exp13" / "sweep.csv"), ("value",) + keys[1:])
+        keys = ("c", "gains", "cs_l", "cs_h", "profit")
+        assert columns(read_csv(tmp_path / "fig" / "figures" / "cs_by_gains.csv"), keys) == \
+            columns(read_csv(tmp_path / "scaled" / "sweep.csv"), ("value",) + keys[1:])
+
+    def test_zero_cost_scale_is_config_error(self, tmp_path):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["figures"] = {"cost_grid": [0.0]}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, payload), "figures", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
 
 
 class TestOutcomesAndSweep:

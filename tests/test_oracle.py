@@ -134,6 +134,12 @@ class TestTildeObjective:
         upper = 0.5 * (exp13.f_l.mean() / 4 + exp13.f_h.mean() / 4) * 2
         assert 0 < value <= upper
 
+    @pytest.mark.parametrize("m, recorded", [
+        (2.0, 0.7428147930378376), (3.0, 0.982199352051374), (5.0, 1.462743591157543)])
+    def test_transport_value_recorded(self, m, recorded):
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
+        assert tilde_transport_value(s) == pytest.approx(recorded, rel=1e-12)
+
     def test_unsupported_configuration(self):
         s = MarketSlice(c=0.5, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
         with pytest.raises(UnsupportedConfiguration):

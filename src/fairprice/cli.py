@@ -305,7 +305,7 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
         kappa = overrides.get(i)
         if kappa is None and region is Region.C1:
             kappa = solve_kappa(slice_)
-        if kappa is not None and kappa.max_residual > KAPPA_TOL:
+        if kappa is not None and not kappa.max_residual <= KAPPA_TOL:
             failures.append({"check": "kappa_residuals", "slice": i,
                              "residuals": list(kappa.residuals)})
         cert = certificate_from_kappa(slice_, kappa) if kappa is not None and region is Region.C1 \

@@ -25,7 +25,7 @@ from .numerics import _bisect_flag, adaptive_simpson, bisect, gauss_legendre
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
-QUAD_TOL = 1e-10
+QUAD_TOL = 1e-12
 BAND_RTOL = 1e-12
 
 
@@ -52,7 +52,9 @@ class Kappa:
 
     @property
     def max_residual(self) -> float:
-        return max(abs(r) for r in self.residuals)
+        """Largest |residual|; NaN if any residual is NaN. Test it with
+        `not max_residual <= tol` so that a NaN fails the tolerance."""
+        return float(np.max(np.abs(self.residuals)))
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def solve_kappa(slice_: MarketSlice) -> Kappa:
     k2 = float(slice_.f_l.quantile(np.clip(delta(slice_, k5), 0.0, 1.0)))
     kappa = Kappa(k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
                   residuals=_standard_residuals(slice_, k1, k2, k3, k4, k5))
-    if kappa.max_residual > KAPPA_TOL:
+    if not kappa.max_residual <= KAPPA_TOL:
         raise NoConvergence("cutoff residuals exceed tolerance after bisection",
                             residuals=kappa.residuals, kappa=kappa.as_tuple())
     return kappa
@@ -324,7 +326,7 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         ),
         variant="tilde",
     )
-    if kappa.max_residual > KAPPA_TILDE_TOL:
+    if not kappa.max_residual <= KAPPA_TILDE_TOL:
         raise NoConvergence("noisy-value cutoff residuals exceed tolerance",
                             residuals=kappa.residuals, kappa=kappa.as_tuple())
     return kappa

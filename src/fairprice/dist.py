@@ -3,6 +3,8 @@
 Absolutely continuous value distributions on an interval, the gap function
 between the two group cdfs, its branch inverses, and the reflection maps used
 by the cutoff solver. All evaluation methods accept scalars or numpy arrays.
+Mixture quantiles are found by monotone Newton on the log survival function;
+gap inverses by vectorized bisection.
 
 Unbounded supports are handled by capping numerical grids and upper-branch
 brackets at quantile(1 - 1e-10); in-scope integrals have exponentially
@@ -13,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DegenerateSlice, OutOfRange, ValidationError
-from .numerics import golden_max, invert_monotone
+from .errors import DegenerateSlice, NoConvergence, OutOfRange, ValidationError
+from .numerics import EPS, MAX_ITER, golden_max, invert_monotone
 
 TAIL_MASS = 1e-10
 GRID_POINTS = 10_001
@@ -142,12 +144,48 @@ class ExponentialMixture(ValueDistribution):
         out = np.where(np.asarray(v[..., 0]) < 0.0, 0.0, dens)
         return out if out.shape else float(out)
 
+    def _log_survival(self, x):
+        """log S(x) and the hazard f(x)/S(x) at x >= 0, with S = 1 - F.
+
+        log1p(-F) keeps full relative accuracy in F while F < 1/2; above
+        that, log-sum-exp keeps it in S. Sums run component by component so
+        every element gets the same bits in any array shape."""
+        exps = [-x / m for m in self.means]
+        f = sum(-w * np.expm1(a) for w, a in zip(self.weights, exps))
+        logs = [(math.log(w) if w > 0 else -math.inf) + a for w, a in zip(self.weights, exps)]
+        top = reduce(np.maximum, logs)
+        scaled = [np.exp(la - top) for la in logs]
+        mass = sum(scaled)
+        log_s = np.where(f < 0.5, np.log1p(-np.minimum(f, 0.5)), top + np.log(mass))
+        hazard = sum(e / m for e, m in zip(scaled, self.means)) / mass
+        return log_s, hazard
+
     def quantile(self, q):
+        """Monotone Newton on log S(x) = log1p(-q), per element.
+
+        S is log-convex, so from x0 = -min(mean) * log1p(-q), which lies at
+        or below the root, the iterates rise to it. An element stops once its
+        step is non-positive or at most 4 eps * x (rounding noise in log S),
+        and stays frozen while the others finish. q <= 0 gives 0; q >= 1 is
+        read as 1 - 1e-16, so the result is finite for any level but NaN."""
         q = np.asarray(q, dtype=float)
-        # 1 - F(x) <= exp(-x / max_mean), so this bracket always covers q.
-        hi = -max(self.means) * np.log1p(-np.minimum(q, 1.0 - 1e-16))
-        out = invert_monotone(self.cdf, q, 0.0, np.maximum(hi, 1e-300), increasing=True)
-        return out if np.asarray(out).shape else float(out)
+        target = np.log1p(-np.minimum(q, 1.0 - 1e-16)).ravel()
+        x = np.where(q.ravel() <= 0.0, 0.0, -min(self.means) * target)
+        live = np.flatnonzero(x > 0.0)
+        for _ in range(MAX_ITER):
+            if live.size == 0:
+                break
+            xl = x[live]
+            log_s, hazard = self._log_survival(xl)
+            step = (log_s - target[live]) / hazard
+            moving = step > 4.0 * EPS * xl
+            x[live[moving]] = xl[moving] + step[moving]
+            live = live[moving]
+        if live.size:
+            raise NoConvergence("mixture quantile Newton hit the iteration cap",
+                                level=float(q.ravel()[live[0]]), max_iter=MAX_ITER)
+        out = x.reshape(q.shape)
+        return out if out.shape else float(out)
 
     def partial_mean(self, a, b):
         parts = [w * Exponential(m).partial_mean(a, b) for w, m in zip(self.weights, self.means)]

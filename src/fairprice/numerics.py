@@ -2,9 +2,10 @@
 
 All target functions here are monotone on the chosen bracket. Scalar roots
 use Brent's method (absolute tolerance 1e-12 on the argument, 200-iteration
-cap); the vector variants run bisection on numpy arrays. Boundaries of
-boolean predicates (sale flags, solvability bands) use one boolean bisection
-with a relative tolerance. Quadrature is adaptive Simpson to a tolerance, or
+cap); the vector variant runs bisection on numpy arrays and stops early
+once every bracket is two adjacent floats. Boundaries of boolean predicates
+(sale flags, solvability bands) use one boolean bisection with a relative
+tolerance. Quadrature is adaptive Simpson to a tolerance, or
 a fixed Gauss-Legendre rule for smooth integrands inside solve loops.
 """
 
@@ -90,14 +91,21 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
 
     Out-of-bracket targets clamp to the nearer endpoint, which is the
     behaviour the Delta-inverse callers rely on for vanishing tails.
+    Stops early once every bracket is two adjacent floats (each midpoint
+    rounds to an end): no later step could change 0.5 * (a + b).
     """
     t = np.asarray(targets, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
+    # brackets can be adjacent floats only below this width; test exactly from there
+    ulp_floor = 4.0 * EPS * max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
     for _ in range(max_iter):
-        if np.max(b - a) <= xtol:
+        width = np.max(b - a)
+        if width <= xtol:
             break
         mid = 0.5 * (a + b)
+        if width <= ulp_floor and np.all((mid == a) | (mid == b)):
+            break
         fm = np.asarray(f(mid), dtype=float)
         below = (fm < t) if increasing else (fm > t)
         a = np.where(below, mid, a)

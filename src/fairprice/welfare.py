@@ -30,6 +30,13 @@ QUAD_TOL = 1e-10
 CLOSED_FORM_RTOL = 1e-6
 
 
+def _quad_tol(slice_: MarketSlice) -> float:
+    """QUAD_TOL, shrunk in proportion to the low group's mean below unit
+    value scale: surplus integrals scale with values, and the closed-form
+    check compares them at CLOSED_FORM_RTOL relative."""
+    return QUAD_TOL * min(1.0, slice_.f_l.mean())
+
+
 def pair_profit(slice_: MarketSlice, v_l, v_h):
     """Best profit from a matched pair: sell to both at the lower value, or to
     one group alone at its value; never negative."""
@@ -124,10 +131,11 @@ def _piece_welfare(slice_, theta, piece):
     def price(v):
         return np.maximum(np.asarray(_eval_formula(seg, slice_, np.asarray(v))), c)
 
+    tol = _quad_tol(slice_)
     cs = adaptive_simpson(
-        lambda v: (np.asarray(v) - price(v)) * np.asarray(dist.pdf(v)), a, b, tol=QUAD_TOL)
+        lambda v: (np.asarray(v) - price(v)) * np.asarray(dist.pdf(v)), a, b, tol=tol)
     profit = adaptive_simpson(
-        lambda v: (price(v) - c) * np.asarray(dist.pdf(v)), a, b, tol=QUAD_TOL)
+        lambda v: (price(v) - c) * np.asarray(dist.pdf(v)), a, b, tol=tol)
     return cs, profit
 
 
@@ -190,13 +198,14 @@ def surplus_closed_forms(slice_: MarketSlice):
     f_l, f_h = slice_.f_l, slice_.f_h
     d3 = float(delta(slice_, k.k3))
     d4 = float(delta(slice_, k.k4))
+    tol = _quad_tol(slice_)
 
     cs_l = adaptive_simpson(
         lambda q: np.asarray(f_l.quantile(q)) - np.asarray(f_h.quantile(np.clip(np.asarray(q) - d3, 0.0, 1.0))),
-        float(f_l.cdf(k.k2)), float(f_l.cdf(k.k3)), tol=QUAD_TOL)
+        float(f_l.cdf(k.k2)), float(f_l.cdf(k.k3)), tol=tol)
     cs_h = adaptive_simpson(
         lambda q: np.asarray(f_h.quantile(q)) - np.asarray(f_l.quantile(np.clip(np.asarray(q) + d4, 0.0, 1.0))),
-        float(f_h.cdf(k.k4)), float(f_h.cdf(k.k5)), tol=QUAD_TOL)
+        float(f_h.cdf(k.k4)), float(f_h.cdf(k.k5)), tol=tol)
     return float(cs_l), float(cs_h)
 
 

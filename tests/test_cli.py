@@ -214,6 +214,17 @@ class TestVerify:
         witnessed = [f for f in err["details"]["failures"] if f.get("witness")]
         assert witnessed
 
+    def test_nan_cutoff_fails_kappa_residuals(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 0
+        doc = json.loads((out / "kappa.json").read_text())
+        doc[0]["kappa"]["k3"] = float("nan")
+        (out / "kappa.json").write_text(json.dumps(doc))
+        assert run(cfg, "verify", out_dir=out, oracle_n=200) == 4
+        err = json.loads((out / "error.json").read_text())
+        assert "kappa_residuals" in {f["check"] for f in err["details"]["failures"]}
+
 
 class TestFigures:
     def test_figures_bundle(self, tmp_path):

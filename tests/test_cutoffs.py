@@ -5,6 +5,7 @@ import pytest
 
 from conftest import narrow_slice, random_c1_slices, scaled12_slice
 from fairprice.cutoffs import (
+    Kappa,
     Region,
     classify_region,
     fixed_point_residual,
@@ -14,7 +15,7 @@ from fairprice.cutoffs import (
     solve_kappa_tilde,
 )
 from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
-from fairprice.errors import UnsupportedConfiguration, WrongRegion
+from fairprice.errors import NoConvergence, UnsupportedConfiguration, WrongRegion
 
 
 class TestClassifyRegion:
@@ -39,6 +40,31 @@ class TestClassifyRegion:
         s = MarketSlice(c=c_tie, alpha=0.5, f_l=exp13.f_l, f_h=exp13.f_h)
         assert classify_region(s) in (Region.C2, Region.C3)
         assert classify_region(s) is Region.C2  # c_tie < v*
+
+
+class TestKappaResiduals:
+    @pytest.mark.parametrize("i", range(5))
+    def test_nan_residual_fails_the_tolerance(self, i):
+        residuals = [0.0] * 5
+        residuals[i] = math.nan
+        k = Kappa(1.0, 2.0, 3.0, 4.0, 5.0, residuals=tuple(residuals))
+        assert math.isnan(k.max_residual)
+        assert not k.max_residual <= 1e-8
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_solve_kappa_rejects_nan_residual(self, i, exp13, monkeypatch):
+        import fairprice.cutoffs as cutoffs
+
+        real = cutoffs._standard_residuals
+
+        def poisoned(*args):
+            residuals = list(real(*args))
+            residuals[i] = math.nan
+            return tuple(residuals)
+
+        monkeypatch.setattr(cutoffs, "_standard_residuals", poisoned)
+        with pytest.raises(NoConvergence):
+            solve_kappa.__wrapped__(exp13)
 
 
 class TestSolveKappa:
@@ -217,3 +243,11 @@ class TestSolveKappaTilde:
         assert np.max(np.abs(np.asarray(k.as_tuple()) - self.PINNED[m])) <= 1e-8
         # only the residual certificate runs the sequential quadrature
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("m", [2.0, 2.1213818192835876, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])
+    def test_certificate_integral_is_tight(self, m):
+        """The middle equation's residual is recomputed by adaptive Simpson;
+        at QUAD_TOL it reports solver error, not quadrature error. At
+        m = 2.12138..., Simpson at 1e-10 reported 1.4e-7 and the solve failed."""
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
+        assert abs(solve_kappa_tilde(s).residuals[3]) <= 1e-12

@@ -246,3 +246,60 @@ def test_delta_inverse_roundtrip_property(mean_l, ratio, level):
     for branch in ("lower", "upper"):
         root = delta_inverse(s, q, branch)
         assert float(delta(s, root)) == pytest.approx(q, abs=1e-10)
+
+
+class TestMixtureNewtonQuantile:
+    EPS = float(np.finfo(float).eps)
+
+    def test_rounding_floor_stops_oscillating_steps(self):
+        # near the root the steps alternate in sign by a few ulps of x
+        dist = ExponentialMixture(weights=(0.0853, 0.9147), means=(63.45, 411.63))
+        q = 0.10586
+        x = dist.quantile(q)
+        assert abs(float(dist.cdf(x)) - q) <= 8 * self.EPS * q
+        assert dist.quantile(np.array([q, 0.5])).tolist()[0] == x
+
+    def test_small_level_keeps_relative_accuracy(self):
+        # log-sum-exp alone loses eps*|log w| absolute and stalls here
+        dist = ExponentialMixture(weights=(0.855, 0.145), means=(1.29, 11.12))
+        q = 1.6e-14
+        assert abs(float(dist.cdf(dist.quantile(q))) - q) <= 8 * self.EPS * q
+
+    def test_edge_levels(self):
+        dist = ExponentialMixture(weights=(0.3, 0.7), means=(1.0, 4.0))
+        assert dist.quantile(0.0) == 0.0
+        assert dist.quantile(-0.5) == 0.0
+        top = dist.quantile(1.0 - 1e-16)
+        assert math.isfinite(top)
+        assert dist.quantile(1.0) == top
+        assert dist.quantile(2.0) == top
+        assert math.isnan(dist.quantile(math.nan))
+
+
+@st.composite
+def mixtures(draw):
+    n = draw(st.integers(2, 3))
+    raw = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    log_means = np.asarray(draw(st.lists(st.floats(-2.0, 4.0), min_size=n, max_size=n)))
+    return ExponentialMixture(weights=tuple(raw / raw.sum()), means=tuple(10.0 ** log_means))
+
+
+EDGE_LEVELS = (0.0, 1e-300, 1e-16, 1.0 - 1e-16, 1.0)
+
+
+@given(dist=mixtures(), levels=st.lists(st.floats(0.0, 1.0), max_size=24))
+@settings(deadline=None, max_examples=100)
+def test_mixture_quantile_property(dist, levels):
+    eps = float(np.finfo(float).eps)
+    q = np.array(sorted(set(levels) | set(EDGE_LEVELS)))
+    x = dist.quantile(q)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) >= 0.0)
+    assert [dist.quantile(float(v)) for v in q] == x.tolist()
+    # relative accuracy in F needs q and x to be normal floats
+    tiny = np.finfo(float).tiny
+    low = (q >= tiny) & (x >= tiny) & (q < 0.5)
+    assert np.all(np.abs(np.asarray(dist.cdf(x[low])) - q[low]) <= 8 * eps * q[low])
+    high = (q >= 0.5) & (q < 1.0)
+    surv = sum(w * np.exp(-x[high] / m) for w, m in zip(dist.weights, dist.means))
+    assert np.all(np.abs(surv - (1.0 - q[high])) <= 1e-13 * (1.0 - q[high]))

@@ -6,7 +6,7 @@ import pytest
 from fairprice.cutoffs import _tilde_band, _tilde_integrand
 from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
 from fairprice.errors import NoConvergence
-from fairprice.numerics import adaptive_simpson, bisect, gauss_legendre
+from fairprice.numerics import MAX_ITER, XTOL, adaptive_simpson, bisect, gauss_legendre, invert_monotone
 
 
 class TestBrentBisect:
@@ -29,6 +29,43 @@ class TestBrentBisect:
 
     def test_decreasing_function(self):
         assert bisect(lambda x: 2.0 - x ** 3, 0.0, 5.0) == pytest.approx(2.0 ** (1 / 3), abs=1e-12)
+
+
+def _invert_without_early_exit(f, t, lo, hi, increasing):
+    """invert_monotone's bisection run to its xtol or iteration cap only."""
+    a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
+    b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
+    for _ in range(MAX_ITER):
+        if np.max(b - a) <= XTOL:
+            break
+        mid = 0.5 * (a + b)
+        fm = np.asarray(f(mid), dtype=float)
+        below = (fm < t) if increasing else (fm > t)
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+    return 0.5 * (a + b)
+
+
+class TestInvertMonotone:
+    @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
+    def test_early_exit_keeps_result_bits(self, increasing):
+        # roots near 1e5, where one ulp exceeds xtol and the plain loop ran
+        # to the iteration cap
+        roots = 1e5 * (1.0 + np.random.default_rng(3).uniform(-0.3, 0.3, 64))
+        sign = 1.0 if increasing else -1.0
+        f = lambda x: sign * np.log1p(np.asarray(x) / 7e4)
+        t = f(roots)
+        evals = []
+
+        def counted(x):
+            evals.append(1)
+            return f(x)
+
+        got = invert_monotone(counted, t, 1.0, 1e6, increasing=increasing)
+        want = _invert_without_early_exit(f, t, 1.0, 1e6, increasing)
+        assert got.tobytes() == want.tobytes()
+        assert len(evals) < MAX_ITER
+        assert invert_monotone(f, float(t[0]), 1.0, 1e6, increasing=increasing) == want[0]
 
 
 class TestGaussLegendre:

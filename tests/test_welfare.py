@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import narrow_slice
-from fairprice.dist import Exponential, Market, MarketSlice, PiecewiseLinearCdf
+from fairprice.dist import Exponential, ExponentialMixture, Market, MarketSlice, PiecewiseLinearCdf
+from fairprice.duality import build_duals, dual_value
 from fairprice.errors import UnsupportedConfiguration, ValidationError, ZeroGains
 from fairprice.pricing import (
     build_p_anti,
     build_p_ass,
     build_p_star,
     build_perfect_discrimination,
+    check_nondiscrimination,
     q_star,
 )
 from fairprice.welfare import (
@@ -138,6 +140,41 @@ class TestOptimality:
         assert ass.cs_h >= star.cs_h - 1e-9
         assert ass.cs_l == pytest.approx(0.0, abs=1e-10)
         assert star.cs_l >= 0.0
+
+
+@pytest.mark.parametrize("mean_l, ratio, alpha", [
+    (0.013281432336258323, 1.3258379222341419, 0.5140804006666485),
+    (0.011334494700346821, 1.2628757791976368, 0.45041686983972684),
+])
+def test_small_scale_surplus_matches_closed_form(mean_l, ratio, alpha):
+    """Surpluses of about 4e-7: at an absolute quadrature tolerance of 1e-10
+    the closed form missed the integrated value by 2e-6 relative."""
+    s = MarketSlice(c=0.0, alpha=alpha, f_l=Exponential(mean_l), f_h=Exponential(mean_l * ratio))
+    rep = welfare_report(build_p_star(s), s)
+    cf_l, cf_h = surplus_closed_forms(s)
+    assert rep.cs_l == pytest.approx(cf_l, rel=1e-6)
+    assert rep.cs_h == pytest.approx(cf_h, rel=1e-6)
+
+
+def test_mixture_share_is_scale_free_at_scale_one_fifth():
+    """0.5 exp(1) + 0.5 exp(2) vs 0.5 exp(2) + 0.5 exp(5) with every mean
+    scaled by 0.2 is certified with the unit-scale profit share (it used to
+    raise OutOfRange on a negative gap level)."""
+    def mix_slice(scale):
+        return MarketSlice(
+            c=0.0, alpha=0.5,
+            f_l=ExponentialMixture(weights=(0.5, 0.5), means=(scale, 2.0 * scale)),
+            f_h=ExponentialMixture(weights=(0.5, 0.5), means=(2.0 * scale, 5.0 * scale)))
+
+    shares = []
+    for s in (mix_slice(1.0), mix_slice(0.2)):
+        rule = build_p_star(s)
+        rep = welfare_report(rule, s)
+        assert check_nondiscrimination(rule, s) <= 1e-6
+        assert abs(rep.accounting_residual()) <= 1e-8
+        assert abs(dual_value(build_duals(s)) - rep.profit) <= 1e-5 * rep.profit
+        shares.append(rep.share)
+    assert shares[1] == pytest.approx(shares[0], abs=1e-9)
 
 
 class TestSurplusSigns:

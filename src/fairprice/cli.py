@@ -73,7 +73,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -524,7 +524,7 @@ def run(config_path, command: str, out_dir=None, oracle_n=None, seed=None) -> in
 
 def _emit_error(out, code: int, error: str, message: str, details=None) -> None:
     payload = {"error": error, "message": message, "exit_code": code,
-               "details": _jsonable(details or {})}
+               "details": details or {}}
     if out is not None:
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -535,12 +535,16 @@ def _emit_error(out, code: int, error: str, message: str, details=None) -> None:
 
 
 def _jsonable(obj):
+    """Plain JSON values: numpy scalars unwrapped, non-finite floats as null
+    (JSON has no NaN or infinity)."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -3,12 +3,14 @@
 Absolutely continuous value distributions on an interval, the gap function
 between the two group cdfs, its branch inverses, and the reflection maps used
 by the cutoff solver. All evaluation methods accept scalars or numpy arrays.
-Mixture quantiles are found by monotone Newton on the log survival function;
-gap inverses by vectorized bisection.
+Mixture quantiles are found by monotone Newton on the log survival function.
+Gap inverses start from a per-slice table of each branch of the gap and
+finish with safeguarded Newton steps on the density difference.
 
-Unbounded supports are handled by capping numerical grids and upper-branch
-brackets at quantile(1 - 1e-10); in-scope integrals have exponentially
-vanishing tails, so the cap is harmless at the tolerances used here.
+Unbounded supports are handled by capping numerical grids at
+quantile(1 - 1e-10) and upper-branch gap tables at quantile(1 - 1e-13);
+in-scope integrals have exponentially vanishing tails, so the caps are
+harmless at the tolerances used here.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .numerics import EPS, MAX_ITER, golden_max, invert_monotone
 
 TAIL_MASS = 1e-10
 GRID_POINTS = 10_001
+GAP_TABLE_POINTS = 257
 
 
 class ValueDistribution:
@@ -427,12 +430,37 @@ def gap_profile(slice_: MarketSlice) -> GapProfile:
     return GapProfile(v_star=float(v_star), tv=float(delta(slice_, v_star)))
 
 
+@lru_cache(maxsize=16)
+def _gap_table(slice_: MarketSlice, branch: str):
+    """Nodes of one branch of the gap, from its outer end to the maximizer,
+    and their levels as an ascending key: a running max, since rounding can
+    make the tabulated gap non-monotone in a flat upper tail.
+
+    The upper branch ends at support_hi or, on unbounded supports, at the
+    larger 1 - 1e-13 quantile: deeper than the grid cap, so the residual gap
+    at a clamped root stays well inside the 1e-10 contract."""
+    gp = gap_profile(slice_)
+    if branch == "lower":
+        end = slice_.support_lo
+    elif math.isfinite(slice_.support_hi):
+        end = slice_.support_hi
+    else:
+        end = max(float(slice_.f_l.quantile(1.0 - 1e-13)), float(slice_.f_h.quantile(1.0 - 1e-13)))
+    nodes = np.linspace(end, gp.v_star, GAP_TABLE_POINTS)
+    return nodes, np.maximum.accumulate(np.asarray(delta(slice_, nodes)))
+
+
 def delta_inverse(slice_: MarketSlice, q, branch: str):
     """Branch inverse of the gap function.
 
     lower: the unique root at or below the maximizer; upper: at or above it.
-    For unbounded supports the upper bracket is capped at quantile(1 - 1e-10),
-    which keeps |gap(result) - q| within 1e-10 for any admissible q.
+    Each level starts in its cell of the branch table (_gap_table): linear
+    interpolation, or square-root interpolation in the cell at the
+    maximizer, where the gap is quadratic. Safeguarded Newton steps on
+    gap' = f_l - f_h inside that cell finish it, freezing once the residual
+    is within 4 eps * max(F_l, F_h), the rounding floor of the gap. Levels
+    beyond the table's outer end clamp to it, and |gap(result) - q| <= 1e-10
+    for any admissible q.
     """
     gp = gap_profile(slice_)
     q_arr = np.asarray(q, dtype=float)
@@ -440,22 +468,25 @@ def delta_inverse(slice_: MarketSlice, q, branch: str):
         raise OutOfRange(f"gap level {np.max(q_arr)!r} exceeds the total variation {gp.tv!r}")
     if np.any(q_arr < -1e-12):
         raise OutOfRange("gap level must be nonnegative")
-    q_arr = np.clip(q_arr, 0.0, gp.tv)
-    if branch == "lower":
-        out = invert_monotone(lambda v: delta(slice_, v), q_arr,
-                              slice_.support_lo, gp.v_star, increasing=True)
-    elif branch == "upper":
-        # deepen the bracket past the grid cap so the residual gap at a
-        # clamped root stays well inside the 1e-10 contract
-        if math.isfinite(slice_.support_hi):
-            hi = slice_.support_hi
-        else:
-            hi = max(float(slice_.f_l.quantile(1.0 - 1e-13)),
-                     float(slice_.f_h.quantile(1.0 - 1e-13)))
-        out = invert_monotone(lambda v: delta(slice_, v), q_arr,
-                              gp.v_star, hi, increasing=False)
-    else:
+    if branch not in ("lower", "upper"):
         raise ValidationError(f"branch must be 'lower' or 'upper', got {branch!r}")
+    q_arr = np.clip(q_arr, 0.0, gp.tv)
+    nodes, levels = _gap_table(slice_, branch)
+    i = np.clip(np.searchsorted(levels, q_arr, side="right") - 1, 0, GAP_TABLE_POINTS - 2)
+    l0, l1 = levels[i], levels[i + 1]
+    w = np.clip(np.divide(q_arr - l0, l1 - l0, out=np.zeros(q_arr.shape), where=l1 > l0), 0.0, 1.0)
+    w = np.where(i == GAP_TABLE_POINTS - 2, 1.0 - np.sqrt(1.0 - w), w)
+    n0, n1 = nodes[i], nodes[i + 1]
+
+    def gap_and_floor(v):
+        fl = np.asarray(slice_.f_l.cdf(v))
+        fh = np.asarray(slice_.f_h.cdf(v))
+        return fl - fh, 4.0 * EPS * np.maximum(fl, fh)
+
+    out = invert_monotone(
+        gap_and_floor, q_arr, np.minimum(n0, n1), np.maximum(n0, n1),
+        increasing=branch == "lower", x0=n0 + w * (n1 - n0),
+        fprime=lambda v: np.asarray(slice_.f_l.pdf(v)) - np.asarray(slice_.f_h.pdf(v)))
     return out if np.asarray(out).shape else float(out)
 
 

@@ -1,12 +1,15 @@
 """Root finding and quadrature primitives shared across the library.
 
 All target functions here are monotone on the chosen bracket. Scalar roots
-use Brent's method (absolute tolerance 1e-12 on the argument, 200-iteration
-cap); the vector variant runs bisection on numpy arrays and stops early
-once every bracket is two adjacent floats. Boundaries of boolean predicates
-(sale flags, solvability bands) use one boolean bisection with a relative
-tolerance. Quadrature is adaptive Simpson to a tolerance, or
-a fixed Gauss-Legendre rule for smooth integrands inside solve loops.
+use Brent's method (tolerance 1e-12 on the argument, relative below unit
+scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
+and stops early once every bracket is two adjacent floats; given a
+derivative, it takes safeguarded Newton steps instead (rtsafe, Numerical
+Recipes 9.4), each element from its own start and bracket. Boundaries of
+boolean predicates (sale flags, solvability bands) use one boolean
+bisection with a relative tolerance. Quadrature is adaptive Simpson to a
+tolerance, or a fixed Gauss-Legendre rule for smooth integrands inside solve
+loops.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ EPS = float(np.finfo(float).eps)
 
 def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_ITER) -> float:
     """Root of f on [lo, hi] by Brent's method; f(lo) and f(hi) must not have
-    the same strict sign. Stops once the bracket is xtol wide (plus a few ulps
-    of the root) and returns the end with the smaller |f|."""
+    the same strict sign. Stops once the bracket is xtol * min(1, max(|lo|,
+    |hi|)) wide (plus a few ulps of the root), so the tolerance is relative
+    below unit scale, and returns the end with the smaller |f|."""
+    xtol *= min(1.0, max(abs(lo), abs(hi)))
     a, b = lo, hi
     fa = f(a)
     if fa == 0.0:
@@ -86,15 +91,26 @@ def _bisect_flag(pred, a: float, b: float, *, rtol: float) -> tuple:
 
 
 def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
-                    xtol: float = XTOL, max_iter: int = MAX_ITER):
+                    xtol: float = XTOL, max_iter: int = MAX_ITER, fprime=None, x0=None):
     """Solve f(x) = t elementwise for monotone f; targets/lo/hi broadcast.
 
     Out-of-bracket targets clamp to the nearer endpoint, which is the
     behaviour the Delta-inverse callers rely on for vanishing tails.
     Stops early once every bracket is two adjacent floats (each midpoint
     rounds to an end): no later step could change 0.5 * (a + b).
+
+    Given a derivative fprime, each element instead runs safeguarded Newton
+    from x0 (default: the bracket midpoint); f(x) must then return the pair
+    (f(x), err), err bounding the rounding error of f(x), and xtol is not
+    used. See _safeguarded_newton for the steps and stop rules.
     """
     t = np.asarray(targets, dtype=float)
+    if fprime is not None:
+        t, a, b = np.broadcast_arrays(t, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        x = 0.5 * (a + b) if x0 is None else np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
+        out = _safeguarded_newton(f, fprime, t.ravel(), a.ravel(), b.ravel(), x.ravel(),
+                                  increasing, max_iter).reshape(t.shape)
+        return out if out.shape else float(out)
     a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
     # brackets can be adjacent floats only below this width; test exactly from there
@@ -112,6 +128,46 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
         b = np.where(below, b, mid)
     out = 0.5 * (a + b)
     return out if out.shape else float(out)
+
+
+def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):
+    """Newton-bisection hybrid on flat arrays; each element is independent.
+
+    Every evaluated iterate replaces the bracket end on its side of the root.
+    A Newton step that would leave the new bracket (the derivative vanishes,
+    or the function kinks) or is not at most half the step before last (slow
+    convergence) becomes a bisection step. An element freezes at its iterate
+    once |f(x) - t| <= err(x), once its next step is at most 4 eps |x|, or
+    once its bracket is two adjacent floats; an iterate on a bracket end
+    with the root beyond it collapses the bracket, which clamps an
+    out-of-bracket target in one evaluation.
+    """
+    a, b, x = a.copy(), b.copy(), x.copy()
+    step, step_old = b - a, b - a
+    live = np.arange(x.size)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        xl = x[live]
+        value, err = f(xl)
+        resid = np.asarray(value, dtype=float) - t[live]
+        below = (resid < 0.0) if increasing else (resid > 0.0)
+        al = np.where(below, xl, a[live])
+        bl = np.where(below, b[live], xl)
+        slope = np.asarray(fprime(xl), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xl - resid / slope
+        mid = 0.5 * (al + bl)
+        ok = (newton >= al) & (newton <= bl) & (np.abs(newton - xl) <= 0.5 * step_old[live])
+        nxt = np.where(ok, newton, mid)
+        done = ((np.abs(resid) <= err) | (np.abs(nxt - xl) <= 4.0 * EPS * np.abs(xl))
+                | (mid == al) | (mid == bl))
+        a[live], b[live] = al, bl
+        step_old[live] = step[live]
+        step[live] = np.where(ok, np.abs(newton - xl), 0.5 * (bl - al))
+        x[live] = np.where(done, xl, nxt)
+        live = live[~done]
+    return x
 
 
 def golden_max(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_ITER) -> float:

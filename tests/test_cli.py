@@ -224,6 +224,15 @@ class TestVerify:
         assert run(cfg, "verify", out_dir=out, oracle_n=200) == 4
         err = json.loads((out / "error.json").read_text())
         assert "kappa_residuals" in {f["check"] for f in err["details"]["failures"]}
+        # JSON (RFC 8259) has no NaN: the NaN residual is written as null
+        for name in ("error.json", "verify.json"):
+            json.loads((out / name).read_text(), parse_constant=self._reject_constant)
+        failures = json.loads((out / "verify.json").read_text())["failures"]
+        assert None in next(f for f in failures if f["check"] == "kappa_residuals")["residuals"]
+
+    @staticmethod
+    def _reject_constant(token):
+        raise ValueError(f"non-JSON constant {token}")
 
 
 class TestFigures:

@@ -18,7 +18,7 @@ from fairprice.dist import (
     reflect_g_h,
 )
 from fairprice.errors import DegenerateSlice, OutOfRange, ValidationError
-from fairprice.numerics import adaptive_simpson
+from fairprice.numerics import EPS, adaptive_simpson, invert_monotone
 
 V_STAR_13 = 1.5 * math.log(3.0)
 TV_13 = 2.0 / (3.0 * math.sqrt(3.0))
@@ -246,6 +246,82 @@ def test_delta_inverse_roundtrip_property(mean_l, ratio, level):
     for branch in ("lower", "upper"):
         root = delta_inverse(s, q, branch)
         assert float(delta(s, root)) == pytest.approx(q, abs=1e-10)
+
+
+def _bisection_inverse(s, q, branch):
+    """delta_inverse's contract by derivative-free bisection, run to adjacent floats."""
+    gp = gap_profile(s)
+    if branch == "lower":
+        lo, hi = s.support_lo, gp.v_star
+    else:
+        lo = gp.v_star
+        hi = s.support_hi if math.isfinite(s.support_hi) else max(
+            float(s.f_l.quantile(1.0 - 1e-13)), float(s.f_h.quantile(1.0 - 1e-13)))
+    return invert_monotone(lambda v: delta(s, v), np.clip(q, 0.0, gp.tv), lo, hi,
+                           increasing=branch == "lower", xtol=0.0, max_iter=2000)
+
+
+@st.composite
+def gap_slices(draw):
+    kind = draw(st.sampled_from(["exp", "mix", "scaled", "piecewise"]))
+    if kind == "piecewise":
+        f_l = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 0.9), (3.0, 1.0)))
+        f_h = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.2), (2.0, 0.5), (3.0, 1.0)))
+        return MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
+    mean, ratio = draw(st.floats(0.3, 3.0)), draw(st.floats(1.05, 12.0))
+    if kind == "exp":
+        f_l, f_h = Exponential(mean), Exponential(mean * ratio)
+    else:
+        w_l, w_h = draw(st.floats(0.55, 0.9)), draw(st.floats(0.05, 0.35))
+        f_l = ExponentialMixture(weights=(w_l, 1.0 - w_l), means=(mean, mean * ratio))
+        f_h = ExponentialMixture(weights=(w_h, 1.0 - w_h), means=(mean, mean * ratio))
+    if kind == "scaled":
+        scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+        f_l, f_h = ScaledFamily(f_l, scale), ScaledFamily(f_h, scale)
+    return MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
+
+
+@given(s=gap_slices(), fractions=st.lists(st.floats(0.0, 1.0), max_size=12))
+@settings(deadline=None, max_examples=80)
+def test_delta_inverse_matches_bisection_property(s, fractions):
+    tv = gap_profile(s).tv
+    q = np.array(sorted({0.0, tv, tv * (1.0 - 1e-12)} | {f * tv for f in fractions}))
+    for branch in ("lower", "upper"):
+        x = delta_inverse(s, q, branch)
+        assert [delta_inverse(s, float(v), branch) for v in q] == x.tolist()
+        assert np.all(np.abs(delta(s, x) - q) <= 1e-10)
+        ref = _bisection_inverse(s, q, branch)
+        # within 1e-12 relative (subnormal roots: one smallest normal float),
+        # or both are roots at rounding level: the gap stays within a few
+        # ulps of its cdfs of q between them (ill-conditioned, as near v*)
+        close = np.abs(x - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).tiny
+        between = np.linspace(x, ref, 9)
+        floor = 32.0 * EPS * np.maximum(s.f_l.cdf(between), s.f_h.cdf(between))
+        flat = np.all(np.abs(delta(s, between) - q) <= floor, axis=0)
+        assert np.all(close | flat)
+
+
+@pytest.mark.parametrize("s", [
+    MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)),
+    MarketSlice(c=0.0, alpha=0.5, f_l=ExponentialMixture(weights=(0.5, 0.5), means=(1.0, 2.0)),
+                f_h=ExponentialMixture(weights=(0.5, 0.5), means=(2.0, 5.0))),
+], ids=["exp13", "mix"])
+@pytest.mark.parametrize("branch", ["lower", "upper"])
+def test_delta_inverse_evaluates_the_gap_a_few_times(s, branch, monkeypatch):
+    # the table start plus Newton needs 3-7 evaluations; bisection needs ~50
+    q = np.linspace(0.0, gap_profile(s).tv, 1000)
+    delta_inverse(s, q[1], branch)  # build the cached gap profile and table
+    calls = []
+    cdf = type(s.f_l).cdf
+
+    def counted(self, v):
+        if self is s.f_l:
+            calls.append(v)
+        return cdf(self, v)
+
+    monkeypatch.setattr(type(s.f_l), "cdf", counted)
+    delta_inverse(s, q, branch)
+    assert 1 <= len(calls) <= 8
 
 
 class TestMixtureNewtonQuantile:

@@ -6,7 +6,7 @@ import pytest
 from fairprice.cutoffs import _tilde_band, _tilde_integrand
 from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
 from fairprice.errors import NoConvergence
-from fairprice.numerics import MAX_ITER, XTOL, adaptive_simpson, bisect, gauss_legendre, invert_monotone
+from fairprice.numerics import EPS, MAX_ITER, XTOL, adaptive_simpson, bisect, gauss_legendre, invert_monotone
 
 
 class TestBrentBisect:
@@ -29,6 +29,13 @@ class TestBrentBisect:
 
     def test_decreasing_function(self):
         assert bisect(lambda x: 2.0 - x ** 3, 0.0, 5.0) == pytest.approx(2.0 ** (1 / 3), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4])
+    def test_tolerance_is_relative_below_unit_scale(self, scale):
+        # an absolute 1e-12 stop left 1.9e-10 relative error here
+        root = scale * math.log(2.0)
+        assert bisect(lambda x: math.expm1(x / scale) - 1.0, 0.0, 10.0 * scale) == \
+            pytest.approx(root, rel=1e-12, abs=0.0)
 
 
 def _invert_without_early_exit(f, t, lo, hi, increasing):
@@ -66,6 +73,52 @@ class TestInvertMonotone:
         assert got.tobytes() == want.tobytes()
         assert len(evals) < MAX_ITER
         assert invert_monotone(f, float(t[0]), 1.0, 1e6, increasing=increasing) == want[0]
+
+
+class TestInvertMonotoneNewton:
+    @staticmethod
+    def cubic(x):
+        x = np.asarray(x)
+        return x ** 3 + x, 4.0 * EPS * np.abs(x ** 3 + x)
+
+    def test_matches_bisection_in_a_few_evaluations(self):
+        t = np.linspace(0.0, 30.0, 257)[1:-1]  # interior roots; clamps are tested below
+        evals = []
+
+        def counted(x):
+            evals.append(1)
+            return self.cubic(x)
+
+        got = invert_monotone(counted, t, 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0)
+        want = invert_monotone(lambda x: self.cubic(x)[0], t, 0.0, 3.0, xtol=0.0)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert len(evals) <= 12
+        assert [invert_monotone(self.cubic, float(v), 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0)
+                for v in t] == got.tolist()
+
+    @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
+    def test_out_of_bracket_targets_clamp_in_one_evaluation(self, increasing):
+        sign = 1.0 if increasing else -1.0
+        f = lambda x: (sign * np.asarray(x), np.zeros(np.shape(x)))
+        evals = []
+
+        def counted(x):
+            evals.append(1)
+            return f(x)
+
+        t = sign * np.array([-5.0, 5.0])
+        got = invert_monotone(counted, t, -1.0, 1.0, increasing=increasing,
+                              fprime=lambda x: np.full(np.shape(x), sign), x0=[-1.0, 1.0])
+        assert got.tolist() == [-1.0, 1.0]
+        assert len(evals) == 1
+
+    def test_vanishing_derivative_falls_back_to_bisection(self):
+        # Newton creeps towards the triple root of x**3 at 2/3 per step and
+        # divides by zero on it; both become bisection steps
+        got = invert_monotone(lambda x: (np.asarray(x) ** 3, 0.0), [0.0, 1e-30], -1.0, 2.0,
+                              fprime=lambda x: 3.0 * np.asarray(x) ** 2, x0=[0.0, 1.0])
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(1e-10, rel=1e-12)
 
 
 class TestGaussLegendre:

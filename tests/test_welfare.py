@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import narrow_slice
-from fairprice.dist import Exponential, ExponentialMixture, Market, MarketSlice, PiecewiseLinearCdf
+from fairprice.cutoffs import Region, classify_region, solve_kappa
+from fairprice.dist import Exponential, ExponentialMixture, Market, MarketSlice, PiecewiseLinearCdf, ScaledFamily
 from fairprice.duality import build_duals, dual_value
 from fairprice.errors import UnsupportedConfiguration, ValidationError, ZeroGains
 from fairprice.pricing import (
@@ -175,6 +176,43 @@ def test_mixture_share_is_scale_free_at_scale_one_fifth():
         assert abs(dual_value(build_duals(s)) - rep.profit) <= 1e-5 * rep.profit
         shares.append(rep.share)
     assert shares[1] == pytest.approx(shares[0], abs=1e-9)
+
+
+def _probe_slice(kind, ratio, scale):
+    """C1 slices of the small-scale robustness probe, at value scale `scale`."""
+    if kind == "exp":
+        return MarketSlice(c=0.0, alpha=0.31, f_l=Exponential(scale), f_h=Exponential(ratio * scale))
+    if kind == "cost":
+        return MarketSlice(c=scale, alpha=0.31, f_l=ScaledFamily(Exponential(1.0), scale),
+                           f_h=ScaledFamily(Exponential(ratio), scale))
+    means = (0.7 * scale, 0.7 * ratio * scale)
+    return MarketSlice(c=0.0, alpha=0.31, f_l=ExponentialMixture(weights=(0.66, 0.34), means=means),
+                       f_h=ExponentialMixture(weights=(0.29, 0.71), means=means))
+
+
+def _certified_share_and_k5(s):
+    assert classify_region(s) is Region.C1
+    assert solve_kappa(s).max_residual <= 1e-8
+    rule = build_p_star(s)
+    rep = welfare_report(rule, s)
+    assert check_nondiscrimination(rule, s) <= 1e-6
+    assert abs(rep.accounting_residual()) <= 1e-8
+    assert abs(dual_value(build_duals(s)) - rep.profit) <= 1e-5 * rep.profit
+    return rep.share, solve_kappa(s).k5
+
+
+@pytest.mark.parametrize("kind, ratio, scale", [
+    ("exp", 12.0, 1e-6), ("cost", 12.0, 1e-6), ("mix", 12.0, 1e-6), ("mix", 1.5, 1e-6),
+    ("mix", 1.5, 1e-4),
+])
+def test_small_scale_slice_certifies_with_unit_scale_answers(kind, ratio, scale):
+    """These raised NoConvergence (1e-6) or ConsistencyError (mix/1.5 at
+    1e-4) while Brent stopped at an absolute 1e-12 and gap inverses were
+    bisected."""
+    share, k5 = _certified_share_and_k5(_probe_slice(kind, ratio, scale))
+    unit_share, unit_k5 = _certified_share_and_k5(_probe_slice(kind, ratio, 1.0))
+    assert share == pytest.approx(unit_share, abs=1e-9)
+    assert k5 / scale == pytest.approx(unit_k5, rel=1e-12)
 
 
 class TestSurplusSigns:

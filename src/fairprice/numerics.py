@@ -100,14 +100,16 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
     rounds to an end): no later step could change 0.5 * (a + b).
 
     Given a derivative fprime, each element instead runs safeguarded Newton
-    from x0 (default: the bracket midpoint); f(x) must then return the pair
+    from x0, which is then required; f(x) must then return the pair
     (f(x), err), err bounding the rounding error of f(x), and xtol is not
     used. See _safeguarded_newton for the steps and stop rules.
     """
     t = np.asarray(targets, dtype=float)
     if fprime is not None:
         t, a, b = np.broadcast_arrays(t, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        x = 0.5 * (a + b) if x0 is None else np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
+        if x0 is None:
+            raise ValueError("the Newton mode of invert_monotone needs a start x0")
+        x = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
         out = _safeguarded_newton(f, fprime, t.ravel(), a.ravel(), b.ravel(), x.ravel(),
                                   increasing, max_iter).reshape(t.shape)
         return out if out.shape else float(out)

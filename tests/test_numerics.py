@@ -89,12 +89,16 @@ class TestInvertMonotoneNewton:
             evals.append(1)
             return self.cubic(x)
 
-        got = invert_monotone(counted, t, 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0)
+        got = invert_monotone(counted, t, 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0, x0=1.5)
         want = invert_monotone(lambda x: self.cubic(x)[0], t, 0.0, 3.0, xtol=0.0)
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         assert len(evals) <= 12
-        assert [invert_monotone(self.cubic, float(v), 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0)
-                for v in t] == got.tolist()
+        assert [invert_monotone(self.cubic, float(v), 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0,
+                                x0=1.5) for v in t] == got.tolist()
+
+    def test_newton_mode_needs_a_start(self):
+        with pytest.raises(ValueError, match="x0"):
+            invert_monotone(self.cubic, 1.0, 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0)
 
     @pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
     def test_out_of_bracket_targets_clamp_in_one_evaluation(self, increasing):

@@ -4,8 +4,8 @@ Commands
 --------
 solve     per-slice cutoffs, optimal rule, dual certificate, welfare report
 verify    re-certify a solved output directory (or solve fresh): cutoff
-          residuals, dual feasibility, complementary slackness, price-cdf
-          gap, assignment-oracle gap
+          residuals, dual feasibility, complementary slackness, strong
+          duality, price-cdf gap, assignment-oracle gap
 sweep     welfare along alpha / mean-ratio / cost-scale grids
 figures   profit-share table, surplus sweep tables, surplus-triangle vertices
 outcomes  achievable low-group surplus range via kernel mixtures
@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .cutoffs import KAPPA_TOL, Kappa, Region, _standard_residuals, classify_region, solve_eta, solve_kappa
 from .dist import Exponential, ExponentialMixture, Market, MarketSlice, PiecewiseLinearCdf, ScaledFamily
-from .duality import build_duals, certificate_from_kappa, certificate_to_dict, \
-    check_complementary_slackness, check_feasibility
+from .duality import STRONG_DUALITY_RTOL, build_duals, certificate_from_kappa, certificate_to_dict, \
+    check_complementary_slackness, check_feasibility, dual_value
 from .errors import FairpriceError, NoConvergence, RegionViolation, UnsupportedConfiguration, \
     ValidationError
 from .matching import build_rho_star, coupling_welfare, mix_for_target_surplus
@@ -328,6 +328,10 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
         if gap > NONDISCRIMINATION_TOL:
             failures.append({"check": "nondiscrimination", "slice": i, "gap": gap})
         target = analytic_profit(slice_)
+        dual = dual_value(cert)
+        if not abs(target - dual) <= STRONG_DUALITY_RTOL * abs(dual):
+            failures.append({"check": "strong_duality", "slice": i, "profit": target,
+                             "dual_value": dual})
         _, value = solve_assignment(discretize(slice_, config.oracle_n))
         rel_gap = abs(value - target) / abs(target) if target else math.inf
         if rel_gap > 0.01:

@@ -417,14 +417,15 @@ def gap_profile(slice_: MarketSlice) -> GapProfile:
     hi = float(grid[min(i + 1, len(grid) - 1)])
     # The gap's derivative is the density difference; bisecting its sign
     # change beats comparing near-equal gap values (and still pins jump
-    # crossings of piecewise densities). Fall back to golden section when the
-    # bracket does not straddle a sign change.
+    # crossings of piecewise densities). It runs to adjacent floats, since
+    # an absolute tolerance leaves v* loose at small value scales. Fall back
+    # to golden section when the bracket does not straddle a sign change.
     s_lo = float(slice_.f_h.pdf(lo)) - float(slice_.f_l.pdf(lo))
     s_hi = float(slice_.f_h.pdf(hi)) - float(slice_.f_l.pdf(hi))
     if s_lo < 0.0 < s_hi:
         v_star = invert_monotone(
             lambda v: np.asarray(slice_.f_h.pdf(v)) - np.asarray(slice_.f_l.pdf(v)),
-            0.0, lo, hi, increasing=True)
+            0.0, lo, hi, increasing=True, xtol=0.0)
     else:
         v_star = golden_max(lambda v: delta(slice_, v), lo, hi)
     return GapProfile(v_star=float(v_star), tv=float(delta(slice_, v_star)))

@@ -23,6 +23,7 @@ from .welfare import pair_profit
 
 FEASIBILITY_FLOOR = -1e-6
 SLACKNESS_TOL = 1e-6
+STRONG_DUALITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ and stops early once every bracket is two adjacent floats; given a
 derivative, it takes safeguarded Newton steps instead (rtsafe, Numerical
 Recipes 9.4), each element from its own start and bracket. Boundaries of
 boolean predicates (sale flags, solvability bands) use one boolean
-bisection with a relative tolerance. Quadrature is adaptive Simpson to a
-tolerance, or a fixed Gauss-Legendre rule for smooth integrands inside solve
-loops.
+bisection with a relative tolerance. Quadrature is adaptive Simpson to an
+absolute tolerance with a cap on pending intervals, or a fixed
+Gauss-Legendre rule for smooth integrands inside solve loops.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import NoConvergence
 
 XTOL = 1e-12
 MAX_ITER = 200
+MAX_INTERVALS = 4096
 EPS = float(np.finfo(float).eps)
 
 
@@ -193,12 +194,15 @@ def golden_max(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = M
     return 0.5 * (a + b)
 
 
-def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10, max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10,
+                     max_intervals: int = MAX_INTERVALS) -> float:
     """Adaptive Simpson quadrature of a vectorized integrand on [a, b].
 
     Keeps a worklist of intervals and evaluates every pending midpoint in one
     vectorized call per level, so smooth integrands cost a handful of array
-    evaluations even at tight tolerances.
+    evaluations even at tight tolerances. Raises NoConvergence once more
+    than max_intervals intervals are pending (the tolerance is absolute, so
+    an integral far above unit scale may never meet it).
     """
     if b <= a:
         return 0.0
@@ -208,7 +212,7 @@ def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10, max_depth: in
     # per-interval state: lo, hi, f(lo), f(mid), f(hi), simpson, tol
     state = np.array([[a, b, fa, fm, fb, s0, tol]])
     total = 0.0
-    for depth in range(max_depth):
+    while len(state) <= max_intervals:
         lo, hi = state[:, 0], state[:, 1]
         flo, fmid, fhi = state[:, 2], state[:, 3], state[:, 4]
         s_whole, tols = state[:, 5], state[:, 6]
@@ -221,8 +225,6 @@ def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10, max_depth: in
         s_right = (hi - m) / 6.0 * (fmid + 4.0 * fr + fhi)
         err = s_left + s_right - s_whole
         done = np.abs(err) <= 15.0 * tols
-        if depth == max_depth - 1:
-            done = np.ones_like(done)
         total += float(np.sum((s_left + s_right + err / 15.0)[done]))
         keep = ~done
         if not np.any(keep):
@@ -231,7 +233,8 @@ def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10, max_depth: in
         left = np.column_stack([lo[keep], m[keep], flo[keep], fl[keep], fmid[keep], s_left[keep], half])
         right = np.column_stack([m[keep], hi[keep], fmid[keep], fr[keep], fhi[keep], s_right[keep], half])
         state = np.vstack([left, right])
-    return total
+    raise NoConvergence("adaptive Simpson exceeded its interval cap", a=a, b=b, tol=tol,
+                        pending=len(state), max_intervals=max_intervals)
 
 
 @lru_cache(maxsize=1)

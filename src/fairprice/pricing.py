@@ -238,8 +238,8 @@ def build_p_star(slice_: MarketSlice) -> PricingRule:
         k = solve_kappa(slice_)
         segs = _c1_segments(slice_, k)
         if k.k2 > lo + 1e-15:
-            notes.append("upper-branch gap inverse reaches the 1-1e-10 quantile cap near the "
-                         "priced-out boundary")
+            notes.append("upper-branch gap inverse caps prices at the larger 1-1e-13 quantile of the "
+                         "two groups (the end of its gap table) near the priced-out boundary")
     elif region is Region.C2:
         eta = solve_eta(slice_)
         segs = _segments(

@@ -5,10 +5,12 @@ accounting identity
     profit + (1-alpha)(cs_l + wl_l) + alpha(cs_h + wl_h) = gains from trade
 holds exactly for rules that never price below cost (all constructed rules).
 
-Integration strategy: pieces with affine prices (identity, cost-clamped,
-constant) are integrated in closed form through exact partial moments; only
-quantile-shift and gap-inverse pieces go through adaptive Simpson quadrature
-(tolerance 1e-10 per segment).
+Every integral is exact, with no quadrature. Pieces with affine prices
+(identity, cost-clamped, constant) integrate through exact partial moments.
+A quantile-shift or gap-inverse price is G^-1(y) at y = shift +- F_own(v),
+with G the partner cdf or one branch of the gap, so the substitution
+u = F_own(v) turns its revenue into an integral of G^-1 over y, which the
+inverse-function identity turns into a partial moment of G.
 """
 
 from __future__ import annotations
@@ -21,20 +23,12 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import Region, classify_region, solve_kappa
-from .dist import Market, MarketSlice, delta
+from .dist import TAIL_MASS, Market, MarketSlice, delta, delta_inverse, gap_profile
 from .errors import ConsistencyError, UnsupportedConfiguration, ValidationError, ZeroGains
-from .numerics import adaptive_simpson, golden_max
-from .pricing import PricingRule, _eval_formula, sale_pieces
+from .numerics import golden_max
+from .pricing import PricingRule, sale_pieces
 
-QUAD_TOL = 1e-10
 CLOSED_FORM_RTOL = 1e-6
-
-
-def _quad_tol(slice_: MarketSlice) -> float:
-    """QUAD_TOL, shrunk in proportion to the low group's mean below unit
-    value scale: surplus integrals scale with values, and the closed-form
-    check compares them at CLOSED_FORM_RTOL relative."""
-    return QUAD_TOL * min(1.0, slice_.f_l.mean())
 
 
 def pair_profit(slice_: MarketSlice, v_l, v_h):
@@ -108,6 +102,38 @@ def _partial_gains(dist, c: float, a: float, b: float) -> float:
     return float(dist.partial_mean(lo, b)) - c * (cdf_b - float(dist.cdf(lo)))
 
 
+def _inverse_integral(terms, inverse, u0: float, u1: float, top: float, c: float) -> float:
+    """Integral over y in [u0, u1] of P(y) = max(inverse(clip(y, 0, top)), c),
+    where inverse is a monotone inverse of G = sum of w * F over the (w, F)
+    terms. P is flat beyond each clip and where the cost binds (on one side
+    of y = G(c)); those stretches sit at the ends of its range, so P^-1 = G
+    in between and int P dy + int P^-1 dx = [y P(y)] is exact, with
+    int G dx = [x G(x)] - sum of w * partial mean."""
+    x0, x1 = (max(float(inverse(min(max(u, 0.0), top))), c) for u in (u0, u1))
+    moment = sum(w * float(d.partial_mean(min(x0, x1), max(x0, x1))) for w, d in terms)
+
+    def forward(x):
+        return sum(w * float(d.cdf(x)) for w, d in terms)
+
+    return (moment if x0 <= x1 else -moment) + x1 * (u1 - forward(x1)) - x0 * (u0 - forward(x0))
+
+
+def _shift_revenue(slice_, seg, fa: float, fb: float) -> float:
+    """Revenue of a quantile-shift or gap-inverse segment over the own-group
+    cdf range [fa, fb]: its price is G^-1 at y = shift + sign * F_own(v)."""
+    if seg.formula == "quantile_shift":
+        dst = slice_.f_h if seg.theta == "l" else slice_.f_l
+        terms, inverse, top = ((1.0, dst),), dst.quantile, 1.0 - TAIL_MASS
+        shift, sign = seg.param("offset"), 1.0
+    else:
+        branch = "lower" if seg.formula == "delta_lower_inverse_shift" else "upper"
+        terms, top = ((1.0, slice_.f_l), (-1.0, slice_.f_h)), gap_profile(slice_).tv
+        inverse = lambda y: delta_inverse(slice_, y, branch)
+        shift, sign = (seg.param("offset"), 1.0) if branch == "lower" else (seg.param("level"), -1.0)
+    u0, u1 = sorted((shift + sign * fa, shift + sign * fb))
+    return _inverse_integral(terms, inverse, u0, u1, top, slice_.c)
+
+
 def _piece_welfare(slice_, theta, piece):
     """(cs, profit) contribution of one sale piece; wl pieces are handled by
     the caller through exact partial gains."""
@@ -116,27 +142,12 @@ def _piece_welfare(slice_, theta, piece):
     c = slice_.c
     if seg.formula in ("identity", "max_with_cost"):
         return 0.0, _partial_gains(dist, c, a, b)
+    fa, fb = float(dist.cdf(a)), float(dist.cdf(b))
     if seg.formula == "constant":
-        p0 = max(seg.param("price"), c)
-        mass = (1.0 if math.isinf(b) else float(dist.cdf(b))) - float(dist.cdf(a))
-        return float(dist.partial_mean(a, b)) - p0 * mass, (p0 - c) * mass
-    if math.isinf(b):
-        # beyond the working cap the price is flat to first order
-        cap = slice_.cap()
-        p_tail = max(float(np.asarray(_eval_formula(seg, slice_, np.asarray(cap)))), c)
-        mass = 1.0 - float(dist.cdf(cap))
-        cs = float(dist.partial_mean(cap, math.inf)) - p_tail * mass
-        return max(cs, 0.0), (p_tail - c) * mass
-
-    def price(v):
-        return np.maximum(np.asarray(_eval_formula(seg, slice_, np.asarray(v))), c)
-
-    tol = _quad_tol(slice_)
-    cs = adaptive_simpson(
-        lambda v: (np.asarray(v) - price(v)) * np.asarray(dist.pdf(v)), a, b, tol=tol)
-    profit = adaptive_simpson(
-        lambda v: (price(v) - c) * np.asarray(dist.pdf(v)), a, b, tol=tol)
-    return cs, profit
+        revenue = max(seg.param("price"), c) * (fb - fa)
+    else:
+        revenue = _shift_revenue(slice_, seg, fa, fb)
+    return float(dist.partial_mean(a, b)) - revenue, revenue - c * (fb - fa)
 
 
 @lru_cache(maxsize=512)
@@ -198,15 +209,15 @@ def surplus_closed_forms(slice_: MarketSlice):
     f_l, f_h = slice_.f_l, slice_.f_h
     d3 = float(delta(slice_, k.k3))
     d4 = float(delta(slice_, k.k4))
-    tol = _quad_tol(slice_)
 
-    cs_l = adaptive_simpson(
-        lambda q: np.asarray(f_l.quantile(q)) - np.asarray(f_h.quantile(np.clip(np.asarray(q) - d3, 0.0, 1.0))),
-        float(f_l.cdf(k.k2)), float(f_l.cdf(k.k3)), tol=tol)
-    cs_h = adaptive_simpson(
-        lambda q: np.asarray(f_h.quantile(q)) - np.asarray(f_l.quantile(np.clip(np.asarray(q) + d4, 0.0, 1.0))),
-        float(f_h.cdf(k.k4)), float(f_h.cdf(k.k5)), tol=tol)
-    return float(cs_l), float(cs_h)
+    def quantile_integral(dist, u0, u1):
+        return _inverse_integral(((1.0, dist),), dist.quantile, u0, u1, 1.0, -math.inf)
+
+    q2, q3 = float(f_l.cdf(k.k2)), float(f_l.cdf(k.k3))
+    q4, q5 = float(f_h.cdf(k.k4)), float(f_h.cdf(k.k5))
+    cs_l = quantile_integral(f_l, q2, q3) - quantile_integral(f_h, q2 - d3, q3 - d3)
+    cs_h = quantile_integral(f_h, q4, q5) - quantile_integral(f_l, q4 + d4, q5 + d4)
+    return cs_l, cs_h
 
 
 ShareBound = namedtuple("ShareBound", ["bound", "weak_bound", "r"])

@@ -209,7 +209,7 @@ class TestVerify:
         assert run(cfg, "verify", out_dir=out, oracle_n=200) == 4
         err = json.loads((out / "error.json").read_text())
         checks = {f["check"] for f in err["details"]["failures"]}
-        assert "kappa_residuals" in checks
+        assert {"kappa_residuals", "strong_duality"} <= checks
         assert {"dual_feasibility", "complementary_slackness"} & checks
         witnessed = [f for f in err["details"]["failures"] if f.get("witness")]
         assert witnessed

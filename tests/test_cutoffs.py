@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -243,6 +244,16 @@ class TestSolveKappaTilde:
         assert np.max(np.abs(np.asarray(k.as_tuple()) - self.PINNED[m])) <= 1e-8
         # only the residual certificate runs the sequential quadrature
         assert len(calls) <= 2
+
+    def test_value_scale_1e6_fails_fast_with_no_convergence(self):
+        """The residual certificate's absolute Simpson tolerance cannot be
+        met on integrals of size 1e6; its worklist used to double until a
+        MemoryError, after about 9 s under a 1.5 GB limit."""
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1e6), f_h=Exponential(3e6))
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match="interval cap"):
+            solve_kappa_tilde(s)
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("m", [2.0, 2.1213818192835876, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])
     def test_certificate_integral_is_tight(self, m):

@@ -77,6 +77,19 @@ class TestGapProfile:
         assert np.all(vals[j] >= np.minimum(vals[i], vals[k]) - 1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_gap_maximizer_is_found_to_adjacent_floats(scale):
+    """The gap (exp(-v/scale) - exp(-2v/scale)) / 2 peaks at v* = scale * ln 2
+    with tv = 1/8. An absolute 1e-12 stop left v* 3.6e-7 low (relative) at
+    scale 1e-6, and tv low by 8e-15."""
+    means = (0.5 * scale, scale)
+    s = MarketSlice(c=0.0, alpha=0.5, f_l=ExponentialMixture(weights=(0.75, 0.25), means=means),
+                    f_h=ExponentialMixture(weights=(0.25, 0.75), means=means))
+    gp = gap_profile(s)
+    assert gp.v_star == pytest.approx(math.log(2.0) * scale, rel=1e-13)
+    assert gp.tv == pytest.approx(0.125, abs=1e-15)
+
+
 class TestDeltaInverse:
     def test_at_total_variation_both_branches(self, exp13):
         gp = gap_profile(exp13)

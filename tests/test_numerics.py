@@ -6,7 +6,16 @@ import pytest
 from fairprice.cutoffs import _tilde_band, _tilde_integrand
 from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
 from fairprice.errors import NoConvergence
-from fairprice.numerics import EPS, MAX_ITER, XTOL, adaptive_simpson, bisect, gauss_legendre, invert_monotone
+from fairprice.numerics import (
+    EPS,
+    MAX_INTERVALS,
+    MAX_ITER,
+    XTOL,
+    adaptive_simpson,
+    bisect,
+    gauss_legendre,
+    invert_monotone,
+)
 
 
 class TestBrentBisect:
@@ -123,6 +132,21 @@ class TestInvertMonotoneNewton:
                               fprime=lambda x: 3.0 * np.asarray(x) ** 2, x0=[0.0, 1.0])
         assert got[0] == 0.0
         assert got[1] == pytest.approx(1e-10, rel=1e-12)
+
+
+class TestAdaptiveSimpson:
+    def test_zero_tolerance_is_met_only_where_simpson_is_exact(self):
+        # Simpson's rule is exact on cubics, so every estimate agrees at once
+        assert adaptive_simpson(lambda x: np.asarray(x) ** 3, 0.0, 1.0, tol=0.0) == 0.25
+        # sqrt's error near 0 never vanishes: the worklist grows to the cap
+        with pytest.raises(NoConvergence) as info:
+            adaptive_simpson(np.sqrt, 0.0, 1.0, tol=0.0)
+        assert info.value.diagnostics["pending"] > MAX_INTERVALS
+
+    def test_interval_cap_is_a_keyword(self):
+        assert adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10) == pytest.approx(2.0 / 3.0, abs=1e-10)
+        with pytest.raises(NoConvergence):
+            adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10, max_intervals=4)
 
 
 class TestGaussLegendre:

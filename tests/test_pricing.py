@@ -47,6 +47,17 @@ class TestPStarBranches:
         prices = rule.price("l", v)
         assert np.all(prices >= gp.v_star - 1e-9)
 
+    def test_priced_out_price_reaches_the_gap_table_end(self, exp13):
+        """Just below k2 the upper-branch gap inverse clamps to the end of its
+        gap table, the larger 1 - 1e-13 quantile of the two groups (89.80),
+        past the 1 - 1e-10 grid cap (69.08); the rule's note says so."""
+        k = solve_kappa(exp13)
+        end = max(exp13.f_l.quantile(1.0 - 1e-13), exp13.f_h.quantile(1.0 - 1e-13))
+        price = build_p_star(exp13).price("l", np.nextafter(k.k2, 0.0))
+        assert price == pytest.approx(end, rel=1e-12)
+        assert price > exp13.cap()
+        assert "1-1e-13 quantile" in build_p_star(exp13).notes[0]
+
     def test_sign_structure_on_grid(self, exp13):
         """Above value exactly below the exclusion cutoffs, below value on the
         discounted bands, equal elsewhere."""

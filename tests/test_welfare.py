@@ -1,25 +1,39 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import narrow_slice
+from conftest import narrow_slice, scaled12_slice
 from fairprice.cutoffs import Region, classify_region, solve_kappa
-from fairprice.dist import Exponential, ExponentialMixture, Market, MarketSlice, PiecewiseLinearCdf, ScaledFamily
+from fairprice.dist import (
+    Exponential,
+    ExponentialMixture,
+    Market,
+    MarketSlice,
+    PiecewiseLinearCdf,
+    ScaledFamily,
+    gap_profile,
+)
 from fairprice.duality import build_duals, dual_value
 from fairprice.errors import UnsupportedConfiguration, ValidationError, ZeroGains
+from fairprice.numerics import adaptive_simpson
 from fairprice.pricing import (
+    PricingRule,
+    Segment,
     build_p_anti,
     build_p_ass,
     build_p_star,
     build_perfect_discrimination,
     check_nondiscrimination,
     q_star,
+    sale_pieces,
 )
 from fairprice.welfare import (
     _bound_from_r,
+    _piece_welfare,
     _weak_bound_from_r,
     bbm_triangle,
     optimal_pair_price,
@@ -213,6 +227,90 @@ def test_small_scale_slice_certifies_with_unit_scale_answers(kind, ratio, scale)
     unit_share, unit_k5 = _certified_share_and_k5(_probe_slice(kind, ratio, 1.0))
     assert share == pytest.approx(unit_share, abs=1e-9)
     assert k5 / scale == pytest.approx(unit_k5, rel=1e-12)
+
+
+def _mix_slice(scale):
+    return MarketSlice(
+        c=0.0, alpha=0.5,
+        f_l=ScaledFamily(ExponentialMixture(weights=(0.5, 0.5), means=(1.0, 2.0)), scale),
+        f_h=ScaledFamily(ExponentialMixture(weights=(0.5, 0.5), means=(2.0, 5.0)), scale))
+
+
+def test_mixture_at_scale_1e6_certifies_in_under_a_second():
+    """Simpson's absolute tolerance could not be met on surplus integrals of
+    size 1e6, and welfare_report ran for minutes on this slice."""
+    start = time.perf_counter()
+    share, _ = _certified_share_and_k5(_mix_slice(1e6))
+    assert time.perf_counter() - start < 1.0
+    unit_share, _ = _certified_share_and_k5(_mix_slice(1.0))
+    assert share == pytest.approx(unit_share, abs=1e-9)
+
+
+# The default figures.m_grid at c = 0, a cost of 0.2 at two group shares,
+# and the scaled-family pair of the surplus-by-gains figure.
+ACCOUNTING_SLICES = (
+    [MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(1.5 + 0.5 * i))
+     for i in range(18)]
+    + [MarketSlice(c=0.2, alpha=a, f_l=Exponential(1.0), f_h=Exponential(5.0)) for a in (0.3, 0.5)]
+    + [scaled12_slice(c) for c in (0.5, 1.0, 2.0)])
+
+
+@pytest.mark.parametrize("s", ACCOUNTING_SLICES, ids=lambda s: (
+    f"c={s.c:g}-alpha={s.alpha:g}-m={getattr(s.f_h, 'mean_value', None) or s.f_h.base.mean_value:g}"))
+def test_benchmark_rules_close_the_accounting_identity(s):
+    """Simpson accepted its first level on p_anti(q*)'s sale piece from mean
+    ratio 4.5 up: the profit integrand is 0 at the piece's cost-clamped left
+    end and the density is negligible at the other nodes, so the low group's
+    profit came out as 0 and the identity missed by up to 0.39 of gains."""
+    for rule in (build_p_star(s), build_p_ass(s), build_p_anti(s, q_star(s)), build_p_anti(s, 1.0)):
+        rep = welfare_report(rule, s)
+        assert abs(rep.accounting_residual()) <= 1e-12 * rep.gains
+
+
+def test_anti_assortative_share_at_ratio_4_5():
+    """`fairprice figures` wrote 0.8182 here while Simpson missed the sale piece."""
+    s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(4.5))
+    assert welfare_report(build_p_anti(s, q_star(s)), s).share == pytest.approx(0.9403, abs=5e-5)
+
+
+def test_gap_inverse_sale_pieces_match_tight_simpson():
+    """No constructed rule sells on a gap-inverse segment, so this rule is
+    built to: the low group's upper-branch price dips below value near the
+    gap maximizer and in the tail, and the high group's lower-branch price
+    (clamped at cost from below) stays under value on its whole segment."""
+    s = MarketSlice(c=0.2, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
+    tv = gap_profile(s).tv
+    level = 1.21
+    a_l = float(s.f_l.quantile(level - tv))
+    a_h = 2.0
+    b_h = float(s.f_h.quantile(float(s.f_h.cdf(a_h)) + tv))
+    rule = PricingRule(name="synthetic", slice=s, segments=(
+        Segment("l", 0.0, a_l, "identity"),
+        Segment("l", a_l, 6.0, "delta_upper_inverse_of_complement", (("level", level),)),
+        Segment("l", 6.0, math.inf, "identity"),
+        Segment("h", 0.0, a_h, "identity"),
+        Segment("h", a_h, b_h, "delta_lower_inverse_shift", (("offset", -float(s.f_h.cdf(a_h))),)),
+        Segment("h", b_h, math.inf, "identity"),
+    ))
+    checked = []
+    for theta, dist in (("l", s.f_l), ("h", s.f_h)):
+        for piece in sale_pieces(rule, s, theta):
+            a, b, seg, sale = piece
+            if not (sale and seg.formula.startswith("delta")):
+                continue
+            price = lambda v, theta=theta: np.asarray(rule.price(theta, np.asarray(v)))
+            # rounding noise in the gap-inverse prices keeps about 23,000
+            # intervals pending at this tolerance on the high group's piece
+            cs_ref = adaptive_simpson(lambda v: (np.asarray(v) - price(v)) * np.asarray(dist.pdf(v)),
+                                      a, b, tol=1e-13, max_intervals=1 << 16)
+            profit_ref = adaptive_simpson(lambda v: (price(v) - s.c) * np.asarray(dist.pdf(v)),
+                                          a, b, tol=1e-13, max_intervals=1 << 16)
+            cs, profit = _piece_welfare(s, theta, piece)
+            assert cs == pytest.approx(cs_ref, rel=1e-10)
+            assert profit == pytest.approx(profit_ref, rel=1e-10)
+            checked.append(seg.formula)
+    assert checked.count("delta_upper_inverse_of_complement") == 2
+    assert checked.count("delta_lower_inverse_shift") == 1
 
 
 class TestSurplusSigns:

@@ -395,7 +395,11 @@ def _check_likelihood_ratio_order(f_l, f_h, n: int = GRID_POINTS, tol: float = 1
 def delta(slice_: MarketSlice, v):
     """Gap between the group cdfs, F_l(v) - F_h(v); lies in [0, 1] under the
     likelihood-ratio order."""
-    out = np.asarray(slice_.f_l.cdf(v)) - np.asarray(slice_.f_h.cdf(v))
+    return _gap(slice_.f_l, slice_.f_h, v)
+
+
+def _gap(f_l: ValueDistribution, f_h: ValueDistribution, v):
+    out = np.asarray(f_l.cdf(v)) - np.asarray(f_h.cdf(v))
     return out if out.shape else float(out)
 
 
@@ -403,12 +407,19 @@ def delta(slice_: MarketSlice, v):
 def gap_profile(slice_: MarketSlice) -> GapProfile:
     """Locate the unique gap maximizer and the total variation distance.
 
-    The gap is quasi-concave, so a coarse grid argmax bracketed into a
-    golden-section refinement pins the maximizer; this also covers piecewise
-    families whose densities cross by jumping rather than through a root.
+    The gap depends on the value pair alone, so the work is cached per pair
+    (_pair_gap_profile) and slices that differ only in cost or shares share it.
     """
-    grid = slice_.grid()
-    gaps = np.asarray(delta(slice_, grid))
+    return _pair_gap_profile(slice_.f_l, slice_.f_h)
+
+
+@lru_cache(maxsize=128)
+def _pair_gap_profile(f_l: ValueDistribution, f_h: ValueDistribution) -> GapProfile:
+    """The gap is quasi-concave, so a coarse grid argmax bracketed into a
+    golden-section refinement pins the maximizer; this also covers piecewise
+    families whose densities cross by jumping rather than through a root."""
+    grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), GRID_POINTS)
+    gaps = np.asarray(_gap(f_l, f_h, grid))
     tv_grid = float(np.max(gaps))
     if tv_grid < 1e-12:
         raise DegenerateSlice("group distributions are numerically identical (gap below 1e-12)")
@@ -420,42 +431,43 @@ def gap_profile(slice_: MarketSlice) -> GapProfile:
     # crossings of piecewise densities). It runs to adjacent floats, since
     # an absolute tolerance leaves v* loose at small value scales. Fall back
     # to golden section when the bracket does not straddle a sign change.
-    s_lo = float(slice_.f_h.pdf(lo)) - float(slice_.f_l.pdf(lo))
-    s_hi = float(slice_.f_h.pdf(hi)) - float(slice_.f_l.pdf(hi))
+    s_lo = float(f_h.pdf(lo)) - float(f_l.pdf(lo))
+    s_hi = float(f_h.pdf(hi)) - float(f_l.pdf(hi))
     if s_lo < 0.0 < s_hi:
         v_star = invert_monotone(
-            lambda v: np.asarray(slice_.f_h.pdf(v)) - np.asarray(slice_.f_l.pdf(v)),
+            lambda v: np.asarray(f_h.pdf(v)) - np.asarray(f_l.pdf(v)),
             0.0, lo, hi, increasing=True, xtol=0.0)
     else:
-        v_star = golden_max(lambda v: delta(slice_, v), lo, hi)
-    return GapProfile(v_star=float(v_star), tv=float(delta(slice_, v_star)))
+        v_star = golden_max(lambda v: _gap(f_l, f_h, v), lo, hi)
+    return GapProfile(v_star=float(v_star), tv=float(_gap(f_l, f_h, v_star)))
 
 
 @lru_cache(maxsize=16)
-def _gap_table(slice_: MarketSlice, branch: str):
-    """Nodes of one branch of the gap, from its outer end to the maximizer,
-    and their levels as an ascending key: a running max, since rounding can
-    make the tabulated gap non-monotone in a flat upper tail.
+def _gap_table(f_l: ValueDistribution, f_h: ValueDistribution, branch: str):
+    """Nodes of one branch of the gap of a value pair, from its outer end to
+    the maximizer, and their levels as an ascending key: a running max, since
+    rounding can make the tabulated gap non-monotone in a flat upper tail.
 
     The upper branch ends at support_hi or, on unbounded supports, at the
     larger 1 - 1e-13 quantile: deeper than the grid cap, so the residual gap
     at a clamped root stays well inside the 1e-10 contract."""
-    gp = gap_profile(slice_)
+    gp = _pair_gap_profile(f_l, f_h)
     if branch == "lower":
-        end = slice_.support_lo
-    elif math.isfinite(slice_.support_hi):
-        end = slice_.support_hi
+        end = f_l.support_lo
+    elif math.isfinite(f_l.support_hi):
+        end = f_l.support_hi
     else:
-        end = max(float(slice_.f_l.quantile(1.0 - 1e-13)), float(slice_.f_h.quantile(1.0 - 1e-13)))
+        end = max(float(f_l.quantile(1.0 - 1e-13)), float(f_h.quantile(1.0 - 1e-13)))
     nodes = np.linspace(end, gp.v_star, GAP_TABLE_POINTS)
-    return nodes, np.maximum.accumulate(np.asarray(delta(slice_, nodes)))
+    return nodes, np.maximum.accumulate(np.asarray(_gap(f_l, f_h, nodes)))
 
 
 def delta_inverse(slice_: MarketSlice, q, branch: str):
     """Branch inverse of the gap function.
 
     lower: the unique root at or below the maximizer; upper: at or above it.
-    Each level starts in its cell of the branch table (_gap_table): linear
+    Each level starts in its cell of the branch table of the value pair
+    (_gap_table, shared by slices that differ only in cost or shares): linear
     interpolation, or square-root interpolation in the cell at the
     maximizer, where the gap is quadratic. Safeguarded Newton steps on
     gap' = f_l - f_h inside that cell finish it, freezing once the residual
@@ -472,7 +484,7 @@ def delta_inverse(slice_: MarketSlice, q, branch: str):
     if branch not in ("lower", "upper"):
         raise ValidationError(f"branch must be 'lower' or 'upper', got {branch!r}")
     q_arr = np.clip(q_arr, 0.0, gp.tv)
-    nodes, levels = _gap_table(slice_, branch)
+    nodes, levels = _gap_table(slice_.f_l, slice_.f_h, branch)
     i = np.clip(np.searchsorted(levels, q_arr, side="right") - 1, 0, GAP_TABLE_POINTS - 2)
     l0, l1 = levels[i], levels[i + 1]
     w = np.clip(np.divide(q_arr - l0, l1 - l0, out=np.zeros(q_arr.shape), where=l1 > l0), 0.0, 1.0)

@@ -6,10 +6,12 @@ scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
 and stops early once every bracket is two adjacent floats; given a
 derivative, it takes safeguarded Newton steps instead (rtsafe, Numerical
 Recipes 9.4), each element from its own start and bracket. Boundaries of
-boolean predicates (sale flags, solvability bands) use one boolean
-bisection with a relative tolerance. Quadrature is adaptive Simpson to an
-absolute tolerance with a cap on pending intervals, or a fixed
-Gauss-Legendre rule for smooth integrands inside solve loops.
+boolean predicates use one boolean bisection with a relative tolerance:
+the noisy-value solvability band, and the sale flags of gap-inverse price
+segments that may sell (every other sale flag flips at closed-form
+points). Quadrature is adaptive Simpson to an absolute tolerance with a
+cap on pending intervals, or a fixed Gauss-Legendre rule for smooth
+integrands inside solve loops.
 """
 
 from __future__ import annotations

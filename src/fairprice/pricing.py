@@ -37,6 +37,8 @@ FORMULAS = (
 NONDISCRIMINATION_TOL = 1e-6
 PRICE_GRID = 10_001
 FLIP_RTOL = 1e-13
+# formulas whose sale flag flips only at closed-form points (_flip_candidates)
+CLOSED_FORM_FLIPS = ("identity", "max_with_cost", "constant", "quantile_shift")
 
 
 @dataclass(frozen=True)
@@ -418,41 +420,93 @@ def check_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:
 
 def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
     """Partition each segment into maximal stretches of constant sale
-    indicator (value at or above price). Pieces beyond the working cap carry
-    the flag observed just below it."""
-    cap = slice_.cap()
+    indicator (value at or above price), as (a, b, seg, sale) tuples.
+
+    On identity, cost-clamped, constant and quantile-shift segments the flag
+    can flip only at closed-form points (_flip_candidates). Gap-inverse
+    segments below cost, and upper-branch ones below the gap maximizer,
+    price above every value and never sell. The other gap-inverse segments
+    locate their flips on a 129-point grid, refined by boolean bisection.
+    Each stretch between cuts takes the flag at its midpoint, and
+    neighbours with the same flag merge. The search stops at the working
+    cap: the last stretch below it runs on to infinity.
+    """
+    c, cap = slice_.c, slice_.cap()
     pieces = []
     for seg in rule.segments_for(theta):
-        hi_eff = min(seg.v_hi, cap)
-        if hi_eff <= seg.v_lo:
+        lo, hi_eff = float(seg.v_lo), float(min(seg.v_hi, cap))
+        if hi_eff <= lo:
             continue
-
-        def no_sale(v, seg=seg):
-            price = np.maximum(np.asarray(_eval_formula(seg, slice_, np.asarray(v))), slice_.c)
-            return price - np.asarray(v) > 0
-
-        grid = np.linspace(seg.v_lo, hi_eff, 129)
-        flags = np.asarray(no_sale(grid))
-        cuts = [float(seg.v_lo)]
-        for a, b, fa, fb in zip(grid[:-1], grid[1:], flags[:-1], flags[1:]):
-            if fa != fb:
-                start = bool(no_sale(float(a)))
-                left, right = _bisect_flag(lambda v: bool(no_sale(v)) == start, float(a), float(b),
-                                           rtol=FLIP_RTOL)
-                root = 0.5 * (left + right)
-                if root - cuts[-1] > 1e-12:
-                    cuts.append(root)
-        if hi_eff - cuts[-1] > 1e-12:
-            cuts.append(float(hi_eff))
+        end = math.inf if seg.v_hi > cap else hi_eff
+        if seg.formula in CLOSED_FORM_FLIPS:
+            cuts = [lo, *sorted(_flip_candidates(seg, slice_, lo, hi_eff)), hi_eff]
+        elif hi_eff <= c or (seg.formula == "delta_upper_inverse_of_complement"
+                             and hi_eff <= gap_profile(slice_).v_star):
+            pieces.append((lo, end, seg, False))
+            continue
         else:
-            cuts[-1] = float(hi_eff)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + b)
-            pieces.append((a, b, seg, not bool(no_sale(mid))))
-        if seg.v_hi > cap:
-            tail_probe = cap - 1e-9 * max(cap, 1.0)
-            pieces.append((cap, math.inf, seg, not bool(no_sale(tail_probe))))
+            cuts = _grid_flips(seg, slice_, lo, hi_eff)
+        sales = ~_no_sale(seg, slice_, 0.5 * (np.asarray(cuts[:-1]) + np.asarray(cuts[1:])))
+        ends = cuts[1:-1] + [end]
+        start = lo
+        for i, sale in enumerate(sales):
+            if i + 1 == len(sales) or sales[i + 1] != sale:
+                pieces.append((start, ends[i], seg, bool(sale)))
+                start = ends[i]
     return pieces
+
+
+def _no_sale(seg: Segment, slice_: MarketSlice, v: np.ndarray) -> np.ndarray:
+    return np.maximum(np.asarray(_eval_formula(seg, slice_, v)), slice_.c) > v
+
+
+def _flip_candidates(seg: Segment, slice_: MarketSlice, lo: float, hi: float) -> set:
+    """Points in (lo, hi) between which a closed-form segment's sale flag
+    (max(price, c) <= v) is constant.
+
+    Besides c and a constant price: a quantile-shift price Q_dst(F_src(v) +
+    offset) is at most v exactly where F_src(v) + offset <= F_dst(v), that is
+    where the gap F_l - F_h is at most -offset (low group) or at least
+    offset (high group). The gap is quasi-concave, so that set is an
+    interval or the complement of one, ending at the two branch roots at
+    that level, or it is empty, everything, or v* alone. Where F_src(v) +
+    offset leaves [0, 1 - TAIL_MASS], the price is clipped flat; on the top
+    clip it is Q_dst(1 - TAIL_MASS)."""
+    points = [slice_.c]
+    if seg.formula == "constant":
+        points.append(seg.param("price"))
+    elif seg.formula == "quantile_shift":
+        src, dst = (slice_.f_l, slice_.f_h) if seg.theta == "l" else (slice_.f_h, slice_.f_l)
+        offset = seg.param("offset")
+        level = -offset if seg.theta == "l" else offset
+        gp = gap_profile(slice_)
+        if level >= gp.tv:
+            points.append(gp.v_star)
+        elif level > 0.0:
+            points += [float(delta_inverse(slice_, level, branch)) for branch in ("lower", "upper")]
+        f_lo, f_hi = float(src.cdf(lo)), float(src.cdf(hi))
+        for clip in (0.0, 1.0 - TAIL_MASS):
+            if f_lo < clip - offset < f_hi:
+                points.append(float(src.quantile(clip - offset)))
+        if f_hi + offset > 1.0 - TAIL_MASS:
+            points.append(float(dst.quantile(1.0 - TAIL_MASS)))
+    return {p for p in points if lo < p < hi}
+
+
+def _grid_flips(seg: Segment, slice_: MarketSlice, lo: float, hi: float) -> list:
+    """Cuts of [lo, hi] at the sale-flag flips seen on a 129-point grid, each
+    bisected to FLIP_RTOL: the search for gap-inverse segments that may sell."""
+    grid = np.linspace(lo, hi, 129)
+    flags = _no_sale(seg, slice_, grid)
+    cuts = [lo]
+    for i in np.flatnonzero(flags[:-1] != flags[1:]):
+        left, right = _bisect_flag(
+            lambda v, start=flags[i]: _no_sale(seg, slice_, np.array([v]))[0] == start,
+            float(grid[i]), float(grid[i + 1]), rtol=FLIP_RTOL)
+        root = 0.5 * (left + right)
+        if cuts[-1] < root < hi:
+            cuts.append(root)
+    return cuts + [hi]
 
 
 def check_outcome_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:

@@ -12,6 +12,8 @@ from fairprice.dist import (
     MarketSlice,
     PiecewiseLinearCdf,
     ScaledFamily,
+    _gap_table,
+    _pair_gap_profile,
     delta,
     delta_inverse,
     gap_profile,
@@ -19,6 +21,8 @@ from fairprice.dist import (
 )
 from fairprice.errors import DegenerateSlice, OutOfRange, ValidationError
 from fairprice.numerics import EPS, adaptive_simpson, invert_monotone
+from fairprice.pricing import build_p_star
+from fairprice.welfare import welfare_report
 
 V_STAR_13 = 1.5 * math.log(3.0)
 TV_13 = 2.0 / (3.0 * math.sqrt(3.0))
@@ -75,6 +79,26 @@ class TestGapProfile:
         idx = np.sort(rng.choice(len(vals), size=(500, 3), replace=True), axis=1)
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
         assert np.all(vals[j] >= np.minimum(vals[i], vals[k]) - 1e-10)
+
+
+def test_gap_work_is_shared_across_an_alpha_and_cost_sweep():
+    """The gap depends on the value pair alone: over 9 alphas and two costs
+    of one pair, every slice gets the same profile, and each branch table
+    of the pair is built once (misses read from the lru_cache counters)."""
+    f_l, f_h = Exponential(0.83), Exponential(2.9)
+    _gap_table.cache_clear()
+    _pair_gap_profile.cache_clear()
+    profiles = []
+    for c in (0.0, 0.1):
+        for alpha in np.linspace(0.1, 0.9, 9):
+            s = MarketSlice(c=c, alpha=float(alpha), f_l=f_l, f_h=f_h)
+            profiles.append(gap_profile(s))
+            welfare_report(build_p_star(s), s)
+            for branch in ("lower", "upper"):
+                delta_inverse(s, 0.5 * profiles[-1].tv, branch)
+    assert all(gp == profiles[0] for gp in profiles)
+    assert _pair_gap_profile.cache_info().misses == 1
+    assert _gap_table.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

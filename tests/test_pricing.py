@@ -6,13 +6,15 @@ import pytest
 
 from conftest import narrow_slice
 from fairprice.cutoffs import solve_eta, solve_kappa, solve_kappa_tilde
-from fairprice.dist import Exponential, MarketSlice, gap_profile
+from fairprice.dist import Exponential, ExponentialMixture, MarketSlice, ScaledFamily, gap_profile
 from fairprice.errors import NonMonotoneSegment, OutOfRange, ValidationError
+from fairprice.numerics import _bisect_flag
 from fairprice.pricing import (
     NONDISCRIMINATION_TOL,
     PricingRule,
     Segment,
     _check_segment_monotone,
+    _eval_formula,
     build_p_anti,
     build_p_ass,
     build_p_star,
@@ -23,7 +25,9 @@ from fairprice.pricing import (
     price_cdf,
     q_star,
     rule_to_dict,
+    sale_pieces,
 )
+from fairprice.welfare import welfare_report
 
 
 class TestPStarBranches:
@@ -276,3 +280,92 @@ class TestSerialization:
 
     def test_cap_note_present_when_priced_out_band_nonempty(self, exp13):
         assert any("cap" in note for note in build_p_star(exp13).notes)
+
+
+def _sale_slice(kind: str, scale: float, cost: float) -> MarketSlice:
+    """Exponential, mixture or cost-scaled pair at a value scale; cost is
+    given in units of the scale."""
+    if kind == "exp":
+        f_l, f_h = Exponential(scale), Exponential(3.0 * scale)
+    elif kind == "mix":
+        means = (0.7 * scale, 2.8 * scale)
+        f_l = ExponentialMixture(weights=(0.7, 0.3), means=means)
+        f_h = ExponentialMixture(weights=(0.2, 0.8), means=means)
+    else:
+        f_l, f_h = ScaledFamily(Exponential(1.0), scale), ScaledFamily(Exponential(12.0), scale)
+    return MarketSlice(c=cost * scale, alpha=0.5, f_l=f_l, f_h=f_h)
+
+
+def _sale_rules(s):
+    qs = q_star(s)
+    return [build_p_star(s), build_p_ass(s), build_perfect_discrimination(s),
+            *(build_p_anti(s, q) for q in (0.0, 0.5 * qs, qs, 1.0))]
+
+
+def _gap_inverse_searched(rule, s) -> bool:
+    """Whether some gap-inverse segment of the rule may sell: not below
+    cost, and not an upper-branch one below the gap maximizer."""
+    for seg in rule.segments:
+        hi = min(seg.v_hi, s.cap())
+        if seg.formula.startswith("delta") and hi > seg.v_lo and hi > s.c and not (
+                seg.formula == "delta_upper_inverse_of_complement" and hi <= gap_profile(s).v_star):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("kind, cost", [("exp", 0.0), ("exp", 0.25), ("exp", 1.0), ("exp", 2.0),
+                                        ("mix", 0.0), ("mix", 0.1), ("cost", 0.0), ("cost", 1.0)])
+def test_sale_pieces_partition_by_the_sale_flag(kind, cost, scale, monkeypatch):
+    """Every piece's flag holds at 32 interior points (price <= value, up to
+    rounding of the price), pieces of one segment alternate in flag, and the
+    flag search by grid and bisection runs only where a gap-inverse segment
+    may sell."""
+    s = _sale_slice(kind, scale, cost)
+    bisections = []
+    monkeypatch.setattr("fairprice.pricing._bisect_flag",
+                        lambda *a, **k: bisections.append(a[1:3]) or _bisect_flag(*a, **k))
+    cap = s.cap()
+    for rule in _sale_rules(s):
+        before = len(bisections)
+        for theta in ("l", "h"):
+            pieces = sale_pieces(rule, s, theta)
+            assert pieces[0][0] == s.support_lo and math.isinf(pieces[-1][1])
+            for (a0, b0, seg0, sale0), (a1, b1, seg1, sale1) in zip(pieces[:-1], pieces[1:]):
+                assert b0 == a1
+                assert seg0 is not seg1 or sale0 != sale1, (rule.name, theta, a0, b0, a1, b1)
+            for a, b, seg, sale in pieces:
+                b = min(b, cap)
+                if b <= a:
+                    continue
+                v = a + (b - a) * (np.arange(32) + 0.5) / 32
+                price = np.maximum(np.asarray(_eval_formula(seg, s, v)), s.c)
+                slack = 1e-9 * np.maximum(v, s.c)
+                if sale:
+                    assert np.all(price <= v + slack), (rule.name, theta, a, b, seg.tag)
+                else:
+                    assert np.all(price > v - slack), (rule.name, theta, a, b, seg.tag)
+        if not _gap_inverse_searched(rule, s):
+            assert len(bisections) == before, rule.name
+
+
+def test_anti_assortative_sale_stretch_below_the_lower_root():
+    """On exp(1) vs exp(3) at c = 0.25, p_anti(q*/2) sells to the low group
+    on [c, gap_lower^-1(q*/2)) = [0.25, 0.368): there the price
+    max(Q_h(F_l(v) - q), c) is at most v (it is c at v = 0.3). A 129-point
+    flag grid over [0.214, 69.08) missed that stretch and reported cs_l =
+    0.0075687 and profit 1.398736."""
+    s = MarketSlice(c=0.25, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
+    rule = build_p_anti(s, 0.5 * q_star(s))
+    assert rule.price("l", 0.3) == 0.25
+    pieces = sale_pieces(rule, s, "l")
+    assert any(sale and a == 0.25 and 0.36 < b < 0.37 for a, b, _, sale in pieces)
+    rep = welfare_report(rule, s)
+    # independent dense midpoint sum of (v - price) f_l(v) 1{price <= v}
+    h = 40.0 / 1_000_000
+    v = (np.arange(1_000_000) + 0.5) * h
+    price = np.asarray(rule.price("l", v))
+    dense = float(np.sum(np.where(price <= v, (v - price) * np.asarray(s.f_l.pdf(v)), 0.0)) * h)
+    assert rep.cs_l == pytest.approx(dense, rel=1e-7)
+    assert rep.cs_l == pytest.approx(0.0105036, abs=1e-7)
+    assert rep.profit == pytest.approx(1.399777, abs=1e-6)

@@ -332,7 +332,7 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
         if not abs(target - dual) <= STRONG_DUALITY_RTOL * abs(dual):
             failures.append({"check": "strong_duality", "slice": i, "profit": target,
                              "dual_value": dual})
-        _, value = solve_assignment(discretize(slice_, config.oracle_n))
+        _, value = solve_assignment(discretize(slice_, config.oracle_n), cert)
         rel_gap = abs(value - target) / abs(target) if target else math.inf
         if rel_gap > 0.01:
             failures.append({"check": "oracle_gap", "slice": i, "gap": rel_gap})

@@ -49,9 +49,8 @@ class ValueDistribution:
         raise NotImplementedError
 
     def cap(self) -> float:
-        """Upper end of the numerical working range."""
-        hi = self.support_hi
-        return float(hi) if math.isfinite(hi) else float(self.quantile(1.0 - TAIL_MASS))
+        """Upper end of the numerical working range (cached per distribution)."""
+        return _cap(self)
 
     def mean(self) -> float:
         return float(self.partial_mean(-math.inf, math.inf))
@@ -60,6 +59,12 @@ class ValueDistribution:
         """E[(v - c)^+], exact: partial mean above c minus c * survival."""
         c = max(float(c), 0.0)
         return float(self.partial_mean(c, math.inf)) - c * (1.0 - float(self.cdf(c)))
+
+
+@lru_cache(maxsize=512)
+def _cap(dist: ValueDistribution) -> float:
+    hi = dist.support_hi
+    return float(hi) if math.isfinite(hi) else float(dist.quantile(1.0 - TAIL_MASS))
 
 
 @dataclass(frozen=True)

@@ -424,9 +424,11 @@ def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
 
     On identity, cost-clamped, constant and quantile-shift segments the flag
     can flip only at closed-form points (_flip_candidates). Gap-inverse
-    segments below cost, and upper-branch ones below the gap maximizer,
-    price above every value and never sell. The other gap-inverse segments
-    locate their flips on a 129-point grid, refined by boolean bisection.
+    segments below cost, upper-branch ones below the gap maximizer, and
+    those whose price at v_lo already reaches the segment's end (gap-inverse
+    prices are nondecreasing) price above every value and never sell. The
+    other gap-inverse segments locate their flips on a 129-point grid,
+    refined by boolean bisection.
     Each stretch between cuts takes the flag at its midpoint, and
     neighbours with the same flag merge. The search stops at the working
     cap: the last stretch below it runs on to infinity.
@@ -440,8 +442,10 @@ def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
         end = math.inf if seg.v_hi > cap else hi_eff
         if seg.formula in CLOSED_FORM_FLIPS:
             cuts = [lo, *sorted(_flip_candidates(seg, slice_, lo, hi_eff)), hi_eff]
-        elif hi_eff <= c or (seg.formula == "delta_upper_inverse_of_complement"
-                             and hi_eff <= gap_profile(slice_).v_star):
+        elif (hi_eff <= c
+              or (seg.formula == "delta_upper_inverse_of_complement"
+                  and hi_eff <= gap_profile(slice_).v_star)
+              or float(_eval_formula(seg, slice_, lo)) >= hi_eff):
             pieces.append((lo, end, seg, False))
             continue
         else:

@@ -12,6 +12,7 @@ from fairprice.dist import (
     MarketSlice,
     PiecewiseLinearCdf,
     ScaledFamily,
+    _cap,
     _gap_table,
     _pair_gap_profile,
     delta,
@@ -99,6 +100,23 @@ def test_gap_work_is_shared_across_an_alpha_and_cost_sweep():
     assert all(gp == profiles[0] for gp in profiles)
     assert _pair_gap_profile.cache_info().misses == 1
     assert _gap_table.cache_info().misses == 2
+
+
+def test_working_cap_is_solved_once_per_distribution(monkeypatch):
+    """cap() is memoised per distribution: repeated MarketSlice.cap() calls
+    on a mixture pair solve each group's tail quantile once."""
+    f_l = ExponentialMixture(weights=(0.7, 0.3), means=(0.9, 3.1))
+    f_h = ExponentialMixture(weights=(0.2, 0.8), means=(0.9, 3.1))
+    expected = max(float(f_l.quantile(1.0 - 1e-10)), float(f_h.quantile(1.0 - 1e-10)))
+    _cap.cache_clear()
+    calls = []
+    quantile = ExponentialMixture.quantile
+    monkeypatch.setattr(ExponentialMixture, "quantile",
+                        lambda self, q: calls.append(q) or quantile(self, q))
+    caps = [MarketSlice(c=0.0, alpha=float(a), f_l=f_l, f_h=f_h).cap()
+            for a in np.linspace(0.1, 0.9, 9)]
+    assert len(calls) == 2
+    assert caps == [expected] * 9
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

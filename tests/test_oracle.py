@@ -1,10 +1,16 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from fairprice.dist import Exponential, MarketSlice
+from conftest import mixture_slice, scaled12_slice
+from fairprice.cutoffs import Region, classify_region, solve_kappa
+from fairprice.dist import Exponential, MarketSlice, ScaledFamily
+from fairprice.duality import DualCertificate, PiecewiseAffine, build_duals, certificate_from_kappa
 from fairprice.errors import UnsupportedConfiguration, ValidationError
 from fairprice.matching import optimal_support_distance
 from fairprice.oracle import (
@@ -17,6 +23,7 @@ from fairprice.oracle import (
     tilde_pair_profit,
     tilde_transport_value,
 )
+from fairprice.welfare import pair_profit
 
 
 def brute_force_value(cost):
@@ -25,6 +32,11 @@ def brute_force_value(cost):
     for perm in itertools.permutations(range(n)):
         best = max(best, sum(cost[i, perm[i]] for i in range(n)) / n)
     return best
+
+
+def cold_value(cost):
+    rows, cols = linear_sum_assignment(cost, maximize=True)
+    return float(cost[rows, cols].mean())
 
 
 class TestDiscretize:
@@ -95,6 +107,73 @@ class TestSolveAssignment:
         assert np.array_equal(p1, p2) and v1 == v2
 
 
+WARM_SLICES = {
+    "exp-C1": (MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)), Region.C1),
+    "exp-C1-cost": (MarketSlice(c=0.2, alpha=0.3, f_l=Exponential(1.0), f_h=Exponential(5.0)),
+                    Region.C1),
+    "C2": (MarketSlice(c=1.0, alpha=0.5, f_l=ScaledFamily(Exponential(1.0), 1.0),
+                       f_h=ScaledFamily(Exponential(3.0), 1.0)), Region.C2),
+    "C3": (MarketSlice(c=2.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)), Region.C3),
+    "mix": (mixture_slice(0), Region.C1),
+    "cost-scaled": (scaled12_slice(0.5), Region.C1),
+}
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("name", list(WARM_SLICES))
+    def test_value_matches_the_cold_solve(self, name, n):
+        s, region = WARM_SLICES[name]
+        assert classify_region(s) is region
+        inst = discretize(s, n)
+        _, value = solve_assignment(inst, build_duals(s))
+        assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
+
+    def test_tampered_certificate_keeps_the_optimum(self, exp13):
+        k = solve_kappa(exp13)
+        cert = certificate_from_kappa(exp13, dataclasses.replace(k, k1=k.k1 * 1.001))
+        q = (np.arange(6) + 0.5) / 6
+        vl, vh = exp13.f_l.quantile(q), exp13.f_h.quantile(q)
+        cost = np.asarray(pair_profit(exp13, vl[:, None], vh[None, :]))
+        _, value = solve_assignment(AssignmentInstance(vl, vh, cost), cert)
+        assert value == pytest.approx(brute_force_value(cost), rel=1e-12)
+        inst = discretize(exp13, 400)
+        _, value = solve_assignment(inst, cert)
+        assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
+
+    def test_any_finite_potentials_keep_the_optimum(self, exp13):
+        rng = np.random.default_rng(31)
+        atoms = np.arange(6.0)
+
+        def potential(values):
+            # one constant branch per atom: branch i covers (atoms[i-1], atoms[i]]
+            return PiecewiseAffine(breaks=tuple(atoms[:-1]), slopes=(0.0,) * 6,
+                                   intercepts=tuple(values))
+
+        for _ in range(10):
+            cost = rng.uniform(0.0, 1.0, size=(6, 6))
+            cert = DualCertificate(slice=exp13, regime="C1",
+                                   phi=potential(rng.normal(0.0, 10.0, 6)),
+                                   psi=potential(rng.normal(0.0, 10.0, 6)))
+            _, value = solve_assignment(AssignmentInstance(atoms, atoms, cost), cert)
+            assert value == pytest.approx(brute_force_value(cost), rel=1e-12)
+
+    @pytest.mark.parametrize("k1, maximize", [(None, False), (math.nan, True)])
+    def test_non_finite_certificate_takes_the_cold_path(self, exp13, k1, maximize, monkeypatch):
+        k = solve_kappa(exp13)
+        cert = certificate_from_kappa(exp13, dataclasses.replace(k, k1=k.k1 if k1 is None else k1))
+        calls = []
+        monkeypatch.setattr("fairprice.oracle.linear_sum_assignment",
+                            lambda cost, maximize=False: calls.append(maximize)
+                            or linear_sum_assignment(cost, maximize=maximize))
+        inst = discretize(exp13, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, value = solve_assignment(inst, cert)
+        assert calls == [maximize]
+        assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
+
+
 class TestOracleGap:
     def test_c1_gap_small_and_shrinking(self, exp13):
         gaps = {n: oracle_gap(exp13, n) for n in (200, 400, 800)}
@@ -139,6 +218,15 @@ class TestTildeObjective:
     def test_transport_value_recorded(self, m, recorded):
         s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
         assert tilde_transport_value(s) == pytest.approx(recorded, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 10.0, 1e4])
+    def test_transport_value_scales_with_values(self, lam):
+        """The model is homogeneous in the value scale; the Simpson tolerance
+        is relative below unit scale, so value / lambda holds to 1e-11."""
+        unit = tilde_transport_value(
+            MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)))
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(lam), f_h=Exponential(3.0 * lam))
+        assert tilde_transport_value(s) / lam == pytest.approx(unit, rel=1e-11)
 
     def test_unsupported_configuration(self):
         s = MarketSlice(c=0.5, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))

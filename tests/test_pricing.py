@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import narrow_slice
-from fairprice.cutoffs import solve_eta, solve_kappa, solve_kappa_tilde
+from conftest import mixture_slice, narrow_slice, scaled12_slice
+from fairprice.cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
 from fairprice.dist import Exponential, ExponentialMixture, MarketSlice, ScaledFamily, gap_profile
 from fairprice.errors import NonMonotoneSegment, OutOfRange, ValidationError
 from fairprice.numerics import _bisect_flag
@@ -369,3 +369,26 @@ def test_anti_assortative_sale_stretch_below_the_lower_root():
     assert rep.cs_l == pytest.approx(dense, rel=1e-7)
     assert rep.cs_l == pytest.approx(0.0105036, abs=1e-7)
     assert rep.profit == pytest.approx(1.399777, abs=1e-6)
+
+
+@pytest.mark.parametrize("s", [
+    MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)),
+    MarketSlice(c=0.2, alpha=0.3, f_l=Exponential(1.0), f_h=Exponential(5.0)),
+    mixture_slice(0),
+    mixture_slice(3, alpha=0.7),
+    scaled12_slice(0.5),
+], ids=["exp", "exp-cost", "mix", "mix-alpha", "cost-scaled"])
+def test_c1_priced_out_high_segment_skips_the_flag_grid(s, monkeypatch):
+    """C1 p_star's high-group priced-out segment Delta_lo^-1(F_h(v) + Delta(k3))
+    on [lo, k1) starts at price k3 >= k1 and is nondecreasing, so it never
+    sells; one price evaluation settles it without the 129-point grid."""
+    def grid_flips(*args, **kwargs):
+        raise AssertionError("flag grid reached")
+
+    monkeypatch.setattr("fairprice.pricing._grid_flips", grid_flips)
+    assert classify_region(s) is Region.C1
+    rule = build_p_star(s)
+    for theta in ("l", "h"):
+        pieces = sale_pieces(rule, s, theta)
+        assert all(not sale for _, _, seg, sale in pieces if seg.tag == "priced-out")
+    assert pieces[0][2].formula == "delta_lower_inverse_shift"  # the high group's first segment

@@ -21,12 +21,10 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile, reflect_g_h
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import _bisect_flag, adaptive_simpson, bisect, gauss_legendre
+from .numerics import adaptive_gauss_legendre, bisect, gauss_legendre
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
-QUAD_TOL = 1e-12
-BAND_RTOL = 1e-12
 
 
 class Region(enum.Enum):
@@ -206,6 +204,14 @@ def _tilde_integrand(slice_: MarketSlice, shift: float):
     return integrand
 
 
+def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float,
+                    quad=gauss_legendre) -> float:
+    """The tilde integrand on [a, b] by the rule quad, split at the kink
+    F_l^{-1}(shift) where the clipped quantile leaves zero."""
+    kink = float(slice_.f_l.quantile(min(max(shift, 0.0), 1.0)))
+    return quad(_tilde_integrand(slice_, shift), a, b, split=kink)
+
+
 def _tilde_band(slice_: MarketSlice, k5: float):
     """Given a candidate top cutoff, return (k2, k4, d5, harmonic, middle) or
     report why the middle equation has no usable root ('small' / 'large').
@@ -219,14 +225,10 @@ def _tilde_band(slice_: MarketSlice, k5: float):
     d5 = float(delta(slice_, k5))
     k2 = float(slice_.f_l.quantile(min(d5, 1.0)))
 
-    def integral(shift, a, b):  # split at the kink F_l^{-1}(shift) of the clipped quantile
-        kink = float(slice_.f_l.quantile(min(max(shift, 0.0), 1.0)))
-        return gauss_legendre(_tilde_integrand(slice_, shift), a, b, split=kink)
-
-    harmonic = integral(d5, k4, k5) - (k5 - k4) / 4.0
+    harmonic = _tilde_integral(slice_, d5, k4, k5) - (k5 - k4) / 4.0
 
     def middle(k3):
-        return k3 / 4.0 - integral(float(delta(slice_, k3)), k2, k3) - harmonic
+        return k3 / 4.0 - _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3) - harmonic
 
     if middle(k2) > 0.0:
         return "small"
@@ -240,13 +242,13 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     """Cutoffs for the noisy-value variant (values uniform on [0, 2v]),
     solved for the c = 0, alpha = 1/2 specialization only.
 
-    A walk and two boolean bisections locate the band of top cutoffs on
-    which the middle equation is solvable. Brent's method then solves the
-    outer residual for k5 on that band; each evaluation solves the middle
-    quadratic-integral equation for k3, reads k1 from the harmonic identity,
-    and scores the remaining quantile equality. The solve loop integrates
-    with a fixed Gauss-Legendre rule; the residuals reported and checked
-    are recomputed by adaptive Simpson at QUAD_TOL.
+    A walk up from v* in steps of 0.05 v* brackets the band of top cutoffs
+    on which the middle equation is solvable. Brent's method then solves
+    the outer residual for k5 across that band; each evaluation solves the
+    middle quadratic-integral equation for k3, reads k1 from the harmonic
+    identity, and scores the remaining quantile equality. The solve loop
+    integrates with the fixed Gauss-Legendre rule; the residuals reported
+    and checked are recomputed by its adaptive composite, which is relative.
     """
     if abs(slice_.c) > 1e-12 or abs(slice_.alpha - 0.5) > 1e-12:
         raise UnsupportedConfiguration(
@@ -256,42 +258,21 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     gp = gap_profile(slice_)
     cap = slice_.cap()
 
-    def status(k5):
-        band = _tilde_band(slice_, k5)
-        return band if isinstance(band, str) else "ok"
-
     # The middle equation is solvable only on a band of k5 values: below it
     # the right integral is too small ('small'), above it the k3 root would
-    # pass the gap maximizer ('large'). The outer residual is positive at the
-    # band's lower edge and negative at its upper edge, so a sign change is
-    # guaranteed once the band is located.
-    step = 0.05 * max(gp.v_star, 1.0)
-    prev = gp.v_star + 1e-9 * max(gp.v_star, 1.0)
-    if status(prev) != "small":
-        lo_feas = prev
-    else:
-        walk = prev
-        while True:
-            walk += step
-            if walk > cap:
-                raise NoConvergence("middle equation stays infeasible up to the working cap",
-                                    cap=cap)
-            if status(walk) != "small":
-                break
-            prev = walk
-        _, lo_feas = _bisect_flag(lambda v: status(v) == "small", prev, walk, rtol=BAND_RTOL)
-        if status(lo_feas) == "large":
-            raise NoConvergence("feasible band of the middle equation is numerically empty",
-                                near=lo_feas)
-
-    walk = lo_feas
-    while status(walk) != "large":
-        prev = walk
-        walk += step
-        if walk > cap:
+    # pass the gap maximizer ('large'). A walk in steps relative to v* keeps
+    # the last 'small' point and stops at the first 'large' one; the outer
+    # residual is positive at the band's lower edge and negative at its
+    # upper edge, so Brent's method brackets a root between the two.
+    step = 0.05 * gp.v_star
+    lo = hi = gp.v_star * (1.0 + 1e-9)
+    while (band := _tilde_band(slice_, hi)) != "large":
+        if band == "small":
+            lo = hi
+        hi += step
+        if hi > cap:
             raise NoConvergence("upper edge of the feasible band not found below the cap",
                                 cap=cap)
-    hi_feas, _ = _bisect_flag(lambda v: status(v) != "large", prev, walk, rtol=BAND_RTOL)
 
     def outer(k5):
         """(k1..k4) and the outer residual; an infeasible point inside the
@@ -304,7 +285,7 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         k1 = harmonic * k2 / (k2 - harmonic)
         return (k1, k2, k3, k4), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
 
-    k5 = bisect(lambda v: outer(v)[1], lo_feas, hi_feas)
+    k5 = bisect(lambda v: outer(v)[1], lo, hi)
     sol, _ = outer(k5)
     if sol is None:
         raise NoConvergence("outer root collapsed onto an infeasible point", k5=k5)
@@ -312,8 +293,8 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
 
     d3 = float(delta(slice_, k3))
     d5 = float(delta(slice_, k5))
-    inner = adaptive_simpson(_tilde_integrand(slice_, d3), k2, k3, tol=QUAD_TOL)
-    right = adaptive_simpson(_tilde_integrand(slice_, d5), k4, k5, tol=QUAD_TOL)
+    inner = _tilde_integral(slice_, d3, k2, k3, adaptive_gauss_legendre)
+    right = _tilde_integral(slice_, d5, k4, k5, adaptive_gauss_legendre)
     harmonic = k1 * k2 / (k1 + k2)
     kappa = Kappa(
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,

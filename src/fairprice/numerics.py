@@ -5,13 +5,12 @@ use Brent's method (tolerance 1e-12 on the argument, relative below unit
 scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
 and stops early once every bracket is two adjacent floats; given a
 derivative, it takes safeguarded Newton steps instead (rtsafe, Numerical
-Recipes 9.4), each element from its own start and bracket. Boundaries of
-boolean predicates use one boolean bisection with a relative tolerance:
-the noisy-value solvability band, and the sale flags of gap-inverse price
-segments that may sell (every other sale flag flips at closed-form
-points). Quadrature is adaptive Simpson to an absolute tolerance with a
-cap on pending intervals, or a fixed Gauss-Legendre rule for smooth
-integrands inside solve loops.
+Recipes 9.4), each element from its own start and bracket. The sale flags
+of gap-inverse price segments that may sell use a boolean bisection with a
+relative tolerance (every other sale flag flips at closed-form points).
+Quadrature is one 32-node Gauss-Legendre rule: fixed inside solve loops,
+or adaptive (each panel against its two halves, to a relative tolerance,
+with a cap on pending panels) where a result is reported.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .errors import NoConvergence
 XTOL = 1e-12
 MAX_ITER = 200
 MAX_INTERVALS = 4096
+QUAD_RTOL = 1e-13
 EPS = float(np.finfo(float).eps)
 
 
@@ -196,52 +196,23 @@ def golden_max(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = M
     return 0.5 * (a + b)
 
 
-def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-10,
-                     max_intervals: int = MAX_INTERVALS) -> float:
-    """Adaptive Simpson quadrature of a vectorized integrand on [a, b].
-
-    Keeps a worklist of intervals and evaluates every pending midpoint in one
-    vectorized call per level, so smooth integrands cost a handful of array
-    evaluations even at tight tolerances. Raises NoConvergence once more
-    than max_intervals intervals are pending (the tolerance is absolute, so
-    an integral far above unit scale may never meet it).
-    """
-    if b <= a:
-        return 0.0
-    xs = np.array([a, 0.5 * (a + b), b])
-    fa, fm, fb = np.asarray(f(xs), dtype=float)
-    s0 = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # per-interval state: lo, hi, f(lo), f(mid), f(hi), simpson, tol
-    state = np.array([[a, b, fa, fm, fb, s0, tol]])
-    total = 0.0
-    while len(state) <= max_intervals:
-        lo, hi = state[:, 0], state[:, 1]
-        flo, fmid, fhi = state[:, 2], state[:, 3], state[:, 4]
-        s_whole, tols = state[:, 5], state[:, 6]
-        m = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + m)
-        rm = 0.5 * (m + hi)
-        fl = np.asarray(f(lm), dtype=float)
-        fr = np.asarray(f(rm), dtype=float)
-        s_left = (m - lo) / 6.0 * (flo + 4.0 * fl + fmid)
-        s_right = (hi - m) / 6.0 * (fmid + 4.0 * fr + fhi)
-        err = s_left + s_right - s_whole
-        done = np.abs(err) <= 15.0 * tols
-        total += float(np.sum((s_left + s_right + err / 15.0)[done]))
-        keep = ~done
-        if not np.any(keep):
-            return total
-        half = tols[keep] / 2.0
-        left = np.column_stack([lo[keep], m[keep], flo[keep], fl[keep], fmid[keep], s_left[keep], half])
-        right = np.column_stack([m[keep], hi[keep], fmid[keep], fr[keep], fhi[keep], s_right[keep], half])
-        state = np.vstack([left, right])
-    raise NoConvergence("adaptive Simpson exceeded its interval cap", a=a, b=b, tol=tol,
-                        pending=len(state), max_intervals=max_intervals)
-
-
 @lru_cache(maxsize=1)
 def _gauss_legendre_rule():
     return np.polynomial.legendre.leggauss(32)
+
+
+def _panels(a: float, b: float, split):
+    """Lower and upper edges of [a, b]'s panels, split at a kink inside."""
+    edges = np.array([a, split, b] if split is not None and a < split < b else [a, b], dtype=float)
+    return edges[:-1], edges[1:]
+
+
+def _rule_on_panels(f, lo, hi):
+    """The 32-node rule on each panel [lo_i, hi_i], all nodes in one f call."""
+    nodes, weights = _gauss_legendre_rule()
+    half = 0.5 * (hi - lo)[:, None]
+    xs = 0.5 * (lo + hi)[:, None] + half * nodes
+    return np.sum(half * weights * np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape), axis=1)
 
 
 def gauss_legendre(f, a: float, b: float, *, split=None) -> float:
@@ -251,8 +222,32 @@ def gauss_legendre(f, a: float, b: float, *, split=None) -> float:
     f in one call."""
     if b <= a:
         return 0.0
-    nodes, weights = _gauss_legendre_rule()
-    edges = np.array([a, split, b] if split is not None and a < split < b else [a, b], dtype=float)
-    half = 0.5 * np.diff(edges)[:, None]
-    xs = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
-    return float(np.dot((half * weights).ravel(), np.asarray(f(xs), dtype=float)))
+    return float(np.sum(_rule_on_panels(f, *_panels(a, b, split))))
+
+
+def adaptive_gauss_legendre(f, a: float, b: float, *, split=None) -> float:
+    """Adaptive composite of the 32-node rule on [a, b], split as in
+    gauss_legendre. A pending panel is accepted, at its halves' sum, once the
+    rule on it and on its two halves agree within QUAD_RTOL of the running
+    total (QUADPACK's error estimate without Kronrod nodes); otherwise its
+    halves become pending. Each level makes one call to f. Raises
+    NoConvergence once more than MAX_INTERVALS panels are pending."""
+    if b <= a:
+        return 0.0
+    lo, hi = _panels(a, b, split)
+    whole = _rule_on_panels(f, lo, hi)
+    total = 0.0
+    while len(lo) <= MAX_INTERVALS:
+        mid = 0.5 * (lo + hi)
+        halves = _rule_on_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = np.split(halves, 2)
+        fine = left + right
+        done = np.abs(fine - whole) <= QUAD_RTOL * abs(total + np.sum(fine))
+        total += float(np.sum(fine[done]))
+        keep = ~done
+        if not np.any(keep):
+            return total
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+    raise NoConvergence("adaptive Gauss-Legendre exceeded its interval cap", a=a, b=b,
+                        pending=len(lo), max_intervals=MAX_INTERVALS)

@@ -28,7 +28,7 @@ from .dist import MarketSlice
 from .duality import DualCertificate, build_duals
 from .errors import UnsupportedConfiguration, ValidationError
 from .matching import _c1_bands
-from .numerics import adaptive_simpson
+from .numerics import adaptive_gauss_legendre
 from .pricing import build_p_star
 from .welfare import pair_profit, welfare_report
 
@@ -125,19 +125,16 @@ def oracle_gap(slice_: MarketSlice, n: int) -> float:
 
 def tilde_transport_value(slice_: MarketSlice) -> float:
     """Analytic value of the noisy-objective matching: integrate the pair
-    profit along the C1 regime map at the noisy cutoffs, band by band.
-
-    The Simpson tolerance shrinks with the low group's mean below unit
-    scale, so the relative error does not grow as values shrink."""
+    profit along the C1 regime map at the noisy cutoffs, band by band, with
+    the adaptive Gauss-Legendre rule (relative to each band's integral)."""
     f_l, f_h = slice_.f_l, slice_.f_h
-    tol = 1e-10 * min(1.0, f_l.mean())
     bands, tail_start, anti = _c1_bands(slice_, solve_kappa_tilde(slice_))
     total, lower = 0.0, slice_.support_lo
     for upper, regime_map in bands:
         if upper > lower:
-            total += adaptive_simpson(
+            total += adaptive_gauss_legendre(
                 lambda vh: np.asarray(tilde_pair_profit(regime_map(np.asarray(vh)), vh))
-                * np.asarray(f_h.pdf(vh)), lower, upper, tol=tol)
+                * np.asarray(f_h.pdf(vh)), lower, upper)
         lower = upper
 
     def tail(vh):
@@ -147,7 +144,7 @@ def tilde_transport_value(slice_: MarketSlice) -> float:
         return (dl * np.asarray(tilde_pair_profit(vh, vh))
                 + (dh - dl) * np.asarray(tilde_pair_profit(np.asarray(anti(vh)), vh)))
 
-    total += adaptive_simpson(tail, tail_start, slice_.cap(), tol=tol)
+    total += adaptive_gauss_legendre(tail, tail_start, slice_.cap())
     return float(total)
 
 

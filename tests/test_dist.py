@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fairprice.dist import (
     Exponential,
@@ -21,7 +22,7 @@ from fairprice.dist import (
     reflect_g_h,
 )
 from fairprice.errors import DegenerateSlice, OutOfRange, ValidationError
-from fairprice.numerics import EPS, adaptive_simpson, invert_monotone
+from fairprice.numerics import EPS, invert_monotone
 from fairprice.pricing import build_p_star
 from fairprice.welfare import welfare_report
 
@@ -212,15 +213,19 @@ class TestDistributionContracts:
 
     def test_pdf_integrates_to_one_on_finite_support(self):
         dist = PiecewiseLinearCdf(knots=((1.0, 0.0), (1.5, 0.25), (2.0, 1.0)))
-        total = adaptive_simpson(lambda v: np.asarray(dist.pdf(v)), 1.0, 2.0, tol=1e-12)
-        assert abs(total - 1.0) <= 1e-8
+        total = quad(lambda v: float(dist.pdf(v)), 1.0, 2.0, points=[1.5])[0]
+        assert total == pytest.approx(float(dist.cdf(2.0)) - float(dist.cdf(1.0)), abs=1e-12)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_mean_matches_quadrature(self):
         dist = ExponentialMixture(weights=(0.4, 0.6), means=(0.8, 3.5))
         got = dist.partial_mean(0.5, 4.0)
-        want = adaptive_simpson(lambda v: np.asarray(v) * np.asarray(dist.pdf(v)), 0.5, 4.0,
-                                tol=1e-12)
-        assert got == pytest.approx(want, abs=1e-9)
+        # int_a^b v e^{-v/m} / m dv = (a + m) e^{-a/m} - (b + m) e^{-b/m}
+        want = sum(w * ((0.5 + m) * math.exp(-0.5 / m) - (4.0 + m) * math.exp(-4.0 / m))
+                   for w, m in zip(dist.weights, dist.means))
+        assert got == pytest.approx(want, rel=1e-14)
+        integral = quad(lambda v: v * float(dist.pdf(v)), 0.5, 4.0, epsabs=0.0, epsrel=1e-13)[0]
+        assert integral == pytest.approx(want, abs=1e-12)
 
     def test_gains_above_closed_form(self):
         m, c = 2.5, 0.7

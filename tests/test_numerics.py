@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import fairprice.numerics as numerics
 from fairprice.cutoffs import _tilde_band, _tilde_integrand
 from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
 from fairprice.errors import NoConvergence
@@ -11,7 +13,7 @@ from fairprice.numerics import (
     MAX_INTERVALS,
     MAX_ITER,
     XTOL,
-    adaptive_simpson,
+    adaptive_gauss_legendre,
     bisect,
     gauss_legendre,
     invert_monotone,
@@ -134,21 +136,6 @@ class TestInvertMonotoneNewton:
         assert got[1] == pytest.approx(1e-10, rel=1e-12)
 
 
-class TestAdaptiveSimpson:
-    def test_zero_tolerance_is_met_only_where_simpson_is_exact(self):
-        # Simpson's rule is exact on cubics, so every estimate agrees at once
-        assert adaptive_simpson(lambda x: np.asarray(x) ** 3, 0.0, 1.0, tol=0.0) == 0.25
-        # sqrt's error near 0 never vanishes: the worklist grows to the cap
-        with pytest.raises(NoConvergence) as info:
-            adaptive_simpson(np.sqrt, 0.0, 1.0, tol=0.0)
-        assert info.value.diagnostics["pending"] > MAX_INTERVALS
-
-    def test_interval_cap_is_a_keyword(self):
-        assert adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10) == pytest.approx(2.0 / 3.0, abs=1e-10)
-        with pytest.raises(NoConvergence):
-            adaptive_simpson(np.sqrt, 0.0, 1.0, tol=1e-10, max_intervals=4)
-
-
 class TestGaussLegendre:
     @pytest.mark.parametrize("degree", [0, 1, 7, 31, 62, 63])
     def test_exact_on_polynomials(self, degree):
@@ -175,10 +162,11 @@ class TestGaussLegendre:
         assert gauss_legendre(f, 0.0, 1.0, split=0.3) == pytest.approx(0.7 ** 3 / 3, abs=1e-15)
 
     @pytest.mark.parametrize("m", [2.0, 3.5, 5.0])
-    def test_matches_tight_simpson_on_noisy_value_integrand(self, m):
+    def test_matches_scipy_quad_on_noisy_value_integrand(self, m):
         """The solve-loop integrals of the noisy-value cutoffs, the right one
         on [k4, k5] and the middle one on [k2, k3], for top cutoffs across the
-        band on which the middle equation is solvable."""
+        band on which the middle equation is solvable; QUADPACK's adaptive
+        Gauss-Kronrod, split at the same kink, is the reference."""
         s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
         v_star = gap_profile(s).v_star
         band = [(k5, b) for k5 in np.linspace(v_star, 2.0 * v_star + 2.0, 201)
@@ -189,5 +177,51 @@ class TestGaussLegendre:
             cases += [(float(delta(s, k3)), k2, k3) for k3 in np.linspace(k2, v_star, 4)[1:]]
             for shift, a, b in cases:
                 f = _tilde_integrand(s, shift)
-                got = gauss_legendre(f, a, b, split=float(s.f_l.quantile(shift)))
-                assert got == pytest.approx(adaptive_simpson(f, a, b, tol=1e-13), abs=1e-13)
+                kink = float(s.f_l.quantile(shift))
+                got = gauss_legendre(f, a, b, split=kink)
+                want = quad(lambda z: float(f(z)), a, b, points=[kink] if a < kink < b else None,
+                            epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                assert got == pytest.approx(want, abs=1e-13)
+                assert adaptive_gauss_legendre(f, a, b, split=kink) == pytest.approx(want, abs=1e-13)
+
+
+class TestAdaptiveGaussLegendre:
+    @pytest.mark.parametrize("degree", [0, 3, 31, 63])
+    def test_exact_on_polynomials(self, degree):
+        # the rule is exact on each half too, so the first comparison accepts
+        coef = np.random.default_rng(degree).uniform(-1.0, 1.0, degree + 1)
+        poly = np.polynomial.Polynomial(coef)
+        exact = poly.integ()(0.7) - poly.integ()(-0.4)
+        assert adaptive_gauss_legendre(poly, -0.4, 0.7) == pytest.approx(exact, abs=1e-14)
+        assert adaptive_gauss_legendre(poly, -0.4, 0.7, split=0.1) == pytest.approx(exact, abs=1e-14)
+
+    def test_empty_interval_is_zero(self):
+        assert adaptive_gauss_legendre(np.exp, 1.0, 1.0) == 0.0
+        assert adaptive_gauss_legendre(np.exp, 2.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_tolerance_is_relative(self, scale):
+        # sqrt's error near 0 never vanishes; the panels there keep halving
+        # until the difference is below QUAD_RTOL of the total at any scale
+        got = adaptive_gauss_legendre(lambda x: scale * np.sqrt(x), 0.0, 1.0)
+        assert got == pytest.approx(2.0 / 3.0 * scale, rel=1e-12)
+
+    def test_unconverged_integrand_fails_fast_at_the_cap(self):
+        # noise never agrees with its halves: the pending panels double each
+        # level until more than MAX_INTERVALS are pending
+        rng = np.random.default_rng(0)
+        with pytest.raises(NoConvergence, match="interval cap") as info:
+            adaptive_gauss_legendre(lambda x: rng.uniform(size=np.shape(x)), 0.0, 1.0)
+        assert info.value.diagnostics["pending"] > MAX_INTERVALS
+
+    def test_cap_is_the_module_constant(self, monkeypatch):
+        # |sin(20 x)| has six kinks in [0, 1]: the panels around them stay
+        # pending together, more than four of them
+        f = lambda x: np.abs(np.sin(20.0 * np.asarray(x)))
+        exact = (13.0 - math.cos(20.0 - 6.0 * math.pi)) / 20.0
+        assert adaptive_gauss_legendre(f, 0.0, 1.0) == pytest.approx(exact, rel=1e-12)
+        monkeypatch.setattr(numerics, "MAX_INTERVALS", 4)
+        assert adaptive_gauss_legendre(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+        with pytest.raises(NoConvergence) as info:
+            adaptive_gauss_legendre(f, 0.0, 1.0)
+        assert info.value.diagnostics["max_intervals"] == 4

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from conftest import narrow_slice, scaled12_slice
 from fairprice.cutoffs import Region, classify_region, solve_kappa
@@ -19,7 +20,6 @@ from fairprice.dist import (
 )
 from fairprice.duality import build_duals, dual_value
 from fairprice.errors import UnsupportedConfiguration, ValidationError, ZeroGains
-from fairprice.numerics import adaptive_simpson
 from fairprice.pricing import (
     PricingRule,
     Segment,
@@ -273,7 +273,7 @@ def test_anti_assortative_share_at_ratio_4_5():
     assert welfare_report(build_p_anti(s, q_star(s)), s).share == pytest.approx(0.9403, abs=5e-5)
 
 
-def test_gap_inverse_sale_pieces_match_tight_simpson():
+def test_gap_inverse_sale_pieces_match_quadrature():
     """No constructed rule sells on a gap-inverse segment, so this rule is
     built to: the low group's upper-branch price dips below value near the
     gap maximizer and in the tail, and the high group's lower-branch price
@@ -298,13 +298,11 @@ def test_gap_inverse_sale_pieces_match_tight_simpson():
             a, b, seg, sale = piece
             if not (sale and seg.formula.startswith("delta")):
                 continue
-            price = lambda v, theta=theta: np.asarray(rule.price(theta, np.asarray(v)))
-            # rounding noise in the gap-inverse prices keeps about 23,000
-            # intervals pending at this tolerance on the high group's piece
-            cs_ref = adaptive_simpson(lambda v: (np.asarray(v) - price(v)) * np.asarray(dist.pdf(v)),
-                                      a, b, tol=1e-13, max_intervals=1 << 16)
-            profit_ref = adaptive_simpson(lambda v: (price(v) - s.c) * np.asarray(dist.pdf(v)),
-                                          a, b, tol=1e-13, max_intervals=1 << 16)
+            price = lambda v, theta=theta: float(rule.price(theta, v))
+            # QUADPACK's adaptive Gauss-Kronrod as the reference
+            kw = dict(epsabs=0.0, epsrel=1e-12, limit=500)
+            cs_ref = quad(lambda v: (v - price(v)) * float(dist.pdf(v)), a, b, **kw)[0]
+            profit_ref = quad(lambda v: (price(v) - s.c) * float(dist.pdf(v)), a, b, **kw)[0]
             cs, profit = _piece_welfare(s, theta, piece)
             assert cs == pytest.approx(cs_ref, rel=1e-10)
             assert profit == pytest.approx(profit_ref, rel=1e-10)

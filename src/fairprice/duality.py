@@ -110,14 +110,17 @@ def certificate_from_kappa(slice_: MarketSlice, k) -> DualCertificate:
 def _grid_points(cert: DualCertificate, dist, n: int) -> np.ndarray:
     q = (np.arange(n) + 0.5) / n
     pts = list(np.asarray(dist.quantile(q), dtype=float))
-    pts.extend(b for b in cert.phi.breaks + cert.psi.breaks)
+    # branches are right-closed: a breakpoint's right-hand limit is the next float
+    breaks = np.asarray(cert.phi.breaks + cert.psi.breaks, dtype=float)
+    pts.extend(np.concatenate([breaks, np.nextafter(breaks, np.inf)]))
     pts.append(cert.slice.c)
     return np.unique(np.asarray(pts, dtype=float))
 
 
 def check_feasibility(cert: DualCertificate, slice_: MarketSlice, n: int) -> float:
     """Minimum of phi(v_l) + psi(v_h) - pair profit over an n-by-n quantile
-    grid augmented with all breakpoints. Raises when it dips below -1e-6."""
+    grid augmented with all breakpoints and their right-hand limits. Raises
+    when it dips below -1e-6."""
     vl = _grid_points(cert, slice_.f_l, n)
     vh = _grid_points(cert, slice_.f_h, n)
     slack = (np.asarray(cert.phi(vl))[:, None] + np.asarray(cert.psi(vh))[None, :]

@@ -37,10 +37,6 @@ class UnsupportedConfiguration(FairpriceError):
     """Parameterization outside the solved special case."""
 
 
-class NonMonotoneSegment(FairpriceError):
-    """Internal bug guard: a pricing segment is not monotone on its interval."""
-
-
 class InfeasibleCertificate(FairpriceError):
     """Dual pair violates pointwise feasibility; carries a witness pair."""
 

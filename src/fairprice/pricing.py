@@ -3,7 +3,7 @@
 A rule is an ordered list of segments per group; each segment carries one of
 six formula kinds. Every emitted price is clamped below at cost, so a clamped
 stretch of a monotone segment shows up as an atom at cost in the pushforward
-without any segment surgery: the analytic inverses route x < c to an empty
+without any segment surgery: the preimage levels route x < c to an empty
 preimage and x >= c to the unclamped preimage.
 
 Segment intervals are left-closed/right-open; the cutoff displays use mixed
@@ -22,7 +22,7 @@ import numpy as np
 
 from .cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
 from .dist import TAIL_MASS, MarketSlice, delta, delta_inverse, gap_profile
-from .errors import NonMonotoneSegment, OutOfRange, ValidationError
+from .errors import OutOfRange, ValidationError
 from .numerics import _bisect_flag
 
 FORMULAS = (
@@ -140,51 +140,29 @@ def _eval_formula(seg: Segment, slice_: MarketSlice, v):
     raise ValidationError(seg.formula)
 
 
-def _invert_formula(seg: Segment, slice_: MarketSlice, x):
-    """Largest v with price(v) <= x for a nondecreasing segment; -inf when the
-    preimage is empty, +inf when it is everything."""
+def _preimage_level(seg: Segment, slice_: MarketSlice, x):
+    """Own-group cdf level y(x) with {v : price(v) <= x} = {v : F_own(v) <= y(x)}
+    on the segment: -inf when that set is empty, +inf when it is everything.
+
+    Every non-constant formula composes nondecreasing maps of F_own(v), so the
+    set is a lower set and its level needs no quantile: the partner cdf minus
+    the offset, the level minus the gap, or the gap minus the offset."""
     x = np.asarray(x, dtype=float)
-    c = slice_.c
-    gp = gap_profile(slice_)
-    if seg.formula in ("identity", "max_with_cost"):
-        inv = x.copy()
-    elif seg.formula == "quantile_shift":
-        src = slice_.f_l if seg.theta == "l" else slice_.f_h
-        dst = slice_.f_h if seg.theta == "l" else slice_.f_l
-        q = np.asarray(dst.cdf(x)) - seg.param("offset")
-        inv = np.where(q >= 1.0, np.inf,
-                       np.where(q < 0.0, -np.inf,
-                                np.asarray(src.quantile(np.clip(q, 0.0, 1.0 - 1e-16)))))
-    elif seg.formula == "delta_upper_inverse_of_complement":
-        own = slice_.f_l if seg.theta == "l" else slice_.f_h
-        level = seg.param("level")
-        q = level - np.asarray(delta(slice_, x))
-        inv = np.where(x < gp.v_star - 1e-12, -np.inf,
-                       np.where(q >= 1.0, np.inf, np.asarray(own.quantile(np.clip(q, 0.0, 1.0)))))
-    elif seg.formula == "delta_lower_inverse_shift":
-        own = slice_.f_l if seg.theta == "l" else slice_.f_h
-        q = np.asarray(delta(slice_, x)) - seg.param("offset")
-        inv = np.where(x >= gp.v_star, np.inf,
-                       np.where(q < 0.0, -np.inf, np.asarray(own.quantile(np.clip(q, 0.0, 1.0)))))
-    else:
-        raise ValidationError(f"formula {seg.formula!r} has no monotone inverse")
-    # prices are clamped at cost: below-cost queries have empty preimages
-    inv = np.where(x < c - 1e-12, -np.inf, inv)
-    return inv
-
-
-def _check_segment_monotone(seg: Segment, slice_: MarketSlice) -> None:
+    own, partner = (slice_.f_l, slice_.f_h) if seg.theta == "l" else (slice_.f_h, slice_.f_l)
     if seg.formula == "constant":
-        return
-    hi = min(seg.v_hi, slice_.cap())
-    if hi <= seg.v_lo:
-        return
-    probe = np.linspace(seg.v_lo, hi, 9)
-    prices = np.maximum(np.asarray(_eval_formula(seg, slice_, probe)), slice_.c)
-    scale = max(1.0, float(np.max(np.abs(prices))))
-    if np.any(np.diff(prices) < -1e-9 * scale):
-        raise NonMonotoneSegment(
-            f"segment {seg.tag or seg.formula} is not nondecreasing on [{seg.v_lo}, {seg.v_hi})")
+        y = np.where(x >= max(seg.param("price"), slice_.c) - 1e-12, np.inf, -np.inf)
+    elif seg.formula in ("identity", "max_with_cost"):
+        y = np.asarray(own.cdf(x))
+    elif seg.formula == "quantile_shift":
+        y = np.asarray(partner.cdf(x)) - seg.param("offset")
+    elif seg.formula == "delta_upper_inverse_of_complement":
+        y = np.where(x < gap_profile(slice_).v_star - 1e-12, -np.inf,
+                     seg.param("level") - np.asarray(delta(slice_, x)))
+    else:
+        y = np.where(x >= gap_profile(slice_).v_star, np.inf,
+                     np.asarray(delta(slice_, x)) - seg.param("offset"))
+    # prices are clamped at cost: below-cost queries have empty preimages
+    return np.where(x < slice_.c - 1e-12, -np.inf, y)
 
 
 def _segments(theta, breaks, formulas, tags, params):
@@ -331,8 +309,8 @@ def build_perfect_discrimination(slice_: MarketSlice) -> PricingRule:
 @dataclass(frozen=True)
 class PriceDistribution:
     """Pushforward of a group's value distribution through a pricing rule:
-    monotone segments invert analytically, constant or clamped stretches
-    contribute atoms."""
+    each segment contributes the own-cdf mass below its preimage level
+    (_preimage_level); constant or clamped stretches contribute atoms."""
 
     rule: PricingRule
     theta: str
@@ -347,8 +325,7 @@ class PriceDistribution:
 
 def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray) -> np.ndarray:
     """P(value in some piece, price <= x) for the theta-group over value
-    pieces (a, b, seg): monotone segments invert analytically, constant ones
-    contribute atoms."""
+    pieces (a, b, seg): the piece's own-cdf mass below the preimage level."""
     dist = slice_.f_l if theta == "l" else slice_.f_h
     total = np.zeros_like(x)
     for a, b, seg in pieces:
@@ -356,37 +333,20 @@ def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray) -> np.n
         mass_hi = float(dist.cdf(b)) if math.isfinite(b) else 1.0
         if mass_hi - mass_lo <= 0.0:
             continue
-        if seg.formula == "constant":
-            p0 = max(seg.param("price"), slice_.c)
-            total += np.where(x >= p0 - 1e-12, mass_hi - mass_lo, 0.0)
-        else:
-            inv = _invert_formula(seg, slice_, x)
-            v_at = np.clip(inv, a, b)
-            total += np.where(
-                np.isneginf(inv), 0.0,
-                np.where(np.isposinf(inv), mass_hi - mass_lo,
-                         np.clip(np.asarray(dist.cdf(v_at)) - mass_lo, 0.0, None)))
+        total += np.clip(_preimage_level(seg, slice_, x), mass_lo, mass_hi) - mass_lo
     return total
 
 
 def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistribution:
-    """Exact piecewise pushforward of the theta-group values through the rule."""
-    dist = slice_.f_l if theta == "l" else slice_.f_h
+    """Exact piecewise pushforward of the theta-group values through the rule.
+    Its atoms are each constant segment's mass at its price and each other
+    segment's clamped mass at cost (masses above 1e-15)."""
     atoms = []
     for seg in rule.segments_for(theta):
-        _check_segment_monotone(seg, slice_)
-        mass_lo = float(dist.cdf(seg.v_lo))
-        mass_hi = float(dist.cdf(seg.v_hi)) if math.isfinite(seg.v_hi) else 1.0
-        if mass_hi - mass_lo <= 0.0:
-            continue
-        if seg.formula == "constant":
-            atoms.append((max(seg.param("price"), slice_.c), mass_hi - mass_lo))
-        else:
-            inv_c = float(np.asarray(_invert_formula(seg, slice_, np.asarray(slice_.c))))
-            if inv_c > seg.v_lo:
-                clamped = float(dist.cdf(min(inv_c, seg.v_hi))) - mass_lo
-                if clamped > 1e-15:
-                    atoms.append((slice_.c, clamped))
+        at = max(seg.param("price"), slice_.c) if seg.formula == "constant" else slice_.c
+        mass = float(_pushforward(slice_, theta, [(seg.v_lo, seg.v_hi, seg)], np.array([at]))[0])
+        if mass > 1e-15:
+            atoms.append((at, mass))
     merged = {}
     for p, m in atoms:
         merged[p] = merged.get(p, 0.0) + m

@@ -74,9 +74,14 @@ class TestFeasibility:
                  - np.asarray(pair_profit(c2_slice, vl, vh)))
         assert np.max(np.abs(slack)) <= 1e-12
 
-    def test_tampered_cutoffs_fail_feasibility(self, exp13):
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    @pytest.mark.parametrize("cutoff", ["k1", "k3", "k4", "k5"])
+    def test_tampered_cutoffs_fail_feasibility(self, exp13, cutoff, factor):
+        """Half of these tampers show only just right of a breakpoint, where
+        the right-closed branches of phi and psi switch."""
         k = solve_kappa(exp13)
-        ks = (k.k1 + 0.01, k.k2, k.k3, k.k4, k.k5)
+        ks = tuple(getattr(k, name) * (factor if name == cutoff else 1.0)
+                   for name in ("k1", "k2", "k3", "k4", "k5"))
         tampered = Kappa(*ks, residuals=_standard_residuals(exp13, *ks))
         cert = certificate_from_kappa(exp13, tampered)
         with pytest.raises(InfeasibleCertificate) as err:

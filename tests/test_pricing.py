@@ -7,14 +7,15 @@ import pytest
 from conftest import mixture_slice, narrow_slice, scaled12_slice
 from fairprice.cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
 from fairprice.dist import Exponential, ExponentialMixture, MarketSlice, ScaledFamily, gap_profile
-from fairprice.errors import NonMonotoneSegment, OutOfRange, ValidationError
+from fairprice.errors import OutOfRange, ValidationError
 from fairprice.numerics import _bisect_flag
 from fairprice.pricing import (
+    FORMULAS,
     NONDISCRIMINATION_TOL,
     PricingRule,
     Segment,
-    _check_segment_monotone,
     _eval_formula,
+    _price_grid,
     build_p_anti,
     build_p_ass,
     build_p_star,
@@ -207,6 +208,60 @@ class TestPriceDistribution:
         for _, mass in pd.atoms:
             assert 0.0 <= mass <= 1.0
 
+    @pytest.mark.parametrize("fixture", ["c2_slice", "c3_slice"])
+    def test_groups_share_the_atom_at_cost(self, fixture, request):
+        s = request.getfixturevalue(fixture)
+        rule = build_p_star(s)
+        atoms = [dict(price_cdf(rule, s, theta).atoms) for theta in ("l", "h")]
+        assert atoms[0][s.c] == pytest.approx(atoms[1][s.c], abs=1e-12)
+        if fixture == "c3_slice":
+            # C3 prices every high value below cost at cost; the low group's
+            # constant segment [lo, Q_l(F_h(c))) carries the same mass
+            assert atoms[0][s.c] == pytest.approx(float(s.f_h.cdf(s.c)), abs=1e-12)
+            assert atoms[0][s.c] == pytest.approx(0.48658288, abs=1e-8)
+
+    @pytest.mark.parametrize("case", [
+        "p_star-exp13", "p_star-c2", "p_star-c3", "p_star-mix", "p_star-narrow",
+        "p_anti_half_qstar-exp13", "p_tilde_star-exp13", "perfect-exp13"])
+    def test_pushforward_matches_quantile_midpoint_sample(self, case, request):
+        """Independent of the preimage levels: the empirical price cdf of
+        200,000 quantile midpoints per group, priced by rule.price. Each
+        segment's preimage is one interval of quantiles, and each interval
+        end moves the sample cdf by at most one point (5e-6)."""
+        name, where = case.split("-")
+        s = {"exp13": lambda: request.getfixturevalue("exp13"),
+             "c2": lambda: request.getfixturevalue("c2_slice"),
+             "c3": lambda: request.getfixturevalue("c3_slice"),
+             "mix": mixture_slice, "narrow": lambda: narrow_slice(0.5)}[where]()
+        rule = {"p_star": build_p_star, "p_tilde_star": build_p_tilde_star,
+                "perfect": build_perfect_discrimination,
+                "p_anti_half_qstar": lambda t: build_p_anti(t, 0.5 * q_star(t))}[name](s)
+        grid = _price_grid(rule, s)
+        u = (np.arange(200_000) + 0.5) / 200_000
+        for theta in ("l", "h"):
+            dist = s.f_l if theta == "l" else s.f_h
+            prices = np.sort(np.asarray(rule.price(theta, np.asarray(dist.quantile(u)))))
+            empirical = np.searchsorted(prices, grid, side="right") / u.size
+            assert np.max(np.abs(price_cdf(rule, s, theta).cdf(grid) - empirical)) <= 2e-5, theta
+
+    def test_price_cdf_calls_no_quantile(self, exp13, c2_slice, c3_slice, monkeypatch):
+        """Every formula's preimage is a level of the own cdf, read from
+        cdfs and the gap alone."""
+        rules = [build_p_star(s) for s in (exp13, c2_slice, c3_slice, mixture_slice())]
+        rules += [build_p_ass(exp13), build_p_anti(exp13, 0.3)]
+        assert {seg.formula for rule in rules for seg in rule.segments} == set(FORMULAS)
+
+        def no_quantile(self, q):
+            raise AssertionError("quantile called")
+
+        for family in (Exponential, ExponentialMixture, ScaledFamily):
+            monkeypatch.setattr(family, "quantile", no_quantile)
+        grid = np.linspace(0.0, 30.0, 3001)
+        for rule in rules:
+            for theta in ("l", "h"):
+                cdf = price_cdf(rule, rule.slice, theta).cdf(grid)
+                assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] <= 1.0
+
 
 class TestOutcomeNondiscrimination:
     def test_assortative_outcomes_identical(self, exp13):
@@ -232,12 +287,21 @@ class TestStructure:
         with pytest.raises(ValidationError):
             PricingRule(name="broken", slice=exp13, segments=segs)
 
-    def test_monotonicity_guard_trips_on_decreasing_prices(self, exp13, monkeypatch):
-        seg = Segment(theta="l", v_lo=0.0, v_hi=5.0, formula="identity", tag="probe")
-        monkeypatch.setattr("fairprice.pricing._eval_formula",
-                            lambda s, sl, v: 10.0 - np.asarray(v))
-        with pytest.raises(NonMonotoneSegment):
-            _check_segment_monotone(seg, exp13)
+    def test_prices_nondecreasing_on_every_segment(self, exp13, exp112, c2_slice, c3_slice):
+        """The price cdf reads each segment's preimage as a lower set of
+        values, which holds because every formula is nondecreasing."""
+        slices = (exp13, exp112, c2_slice, c3_slice, mixture_slice(), scaled12_slice(0.5),
+                  narrow_slice(0.25))
+        for s in slices:
+            for rule in _constructed_rules(s):
+                for seg in rule.segments:
+                    hi = min(seg.v_hi, s.cap())
+                    if hi <= seg.v_lo:
+                        continue
+                    prices = np.asarray(rule.price(seg.theta, np.linspace(seg.v_lo, hi, 2002)[:-1]))
+                    # up to rounding: 4e-15 on the narrow slice's interpolated cdfs
+                    assert np.all(np.diff(prices) >= -1e-13 * np.abs(prices[1:])), (
+                        rule.name, seg.theta, seg.tag)
 
     def test_segments_partition_support_for_all_builders(self, exp13, c2_slice, c3_slice):
         for s in (exp13, c2_slice, c3_slice):
@@ -300,6 +364,15 @@ def _sale_rules(s):
     qs = q_star(s)
     return [build_p_star(s), build_p_ass(s), build_perfect_discrimination(s),
             *(build_p_anti(s, q) for q in (0.0, 0.5 * qs, qs, 1.0))]
+
+
+def _constructed_rules(s):
+    """Every rule builder on s: the rules above, plus the noisy-value rule
+    where it is derived (c = 0, alpha = 1/2, region C1)."""
+    rules = _sale_rules(s)
+    if s.c == 0.0 and s.alpha == 0.5 and classify_region(s) is Region.C1:
+        rules.append(build_p_tilde_star(s))
+    return rules
 
 
 def _gap_inverse_searched(rule, s) -> bool:

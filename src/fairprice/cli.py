@@ -12,7 +12,7 @@ outcomes  achievable low-group surplus range via kernel mixtures
 
 Config files are JSON with a versioned "schema" field; unknown keys are
 rejected. CSV output is RFC-4180 with '.' decimals, LF line endings, and
-headers; identical config + seed reproduces byte-identical files.
+headers; an identical config reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -163,8 +163,7 @@ def _oracle_n(value) -> int:
 class ExperimentConfig:
     """Validated experiment description (schema version 1)."""
 
-    TOP_KEYS = {"schema", "market", "seed", "oracle_n", "out_dir",
-                "sweep", "figures", "outcomes"}
+    TOP_KEYS = {"schema", "market", "oracle_n", "out_dir", "sweep", "figures", "outcomes"}
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -175,7 +174,6 @@ class ExperimentConfig:
         if "market" not in raw:
             raise ValidationError("config needs a 'market' section")
         self.market = _parse_market(raw["market"])
-        self.seed = _number(raw.get("seed", 0), "seed", int)
         self.oracle_n = _oracle_n(raw.get("oracle_n", 400))
         self.out_dir = raw.get("out_dir")
         self.sweep_alpha, self.sweep_gamma, self.sweep_gains = _grids(
@@ -488,7 +486,7 @@ COMMANDS = {
 }
 
 
-def run(config_path, command: str, out_dir=None, oracle_n=None, seed=None) -> int:
+def run(config_path, command: str, out_dir=None, oracle_n=None) -> int:
     """Execute one command against a config file; returns the exit code and
     writes error.json next to the outputs on failure."""
     out = Path(out_dir) if out_dir else None
@@ -502,8 +500,6 @@ def run(config_path, command: str, out_dir=None, oracle_n=None, seed=None) -> in
         config = ExperimentConfig(raw)
         if oracle_n is not None:
             config.oracle_n = _oracle_n(oracle_n)
-        if seed is not None:
-            config.seed = _number(seed, "seed", int)
         out = Path(out_dir) if out_dir else Path(config.out_dir or "out")
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[command](config, out)
@@ -564,10 +560,8 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
         cmd.add_argument("--out", default=None, help="output directory (default from config)")
         cmd.add_argument("--oracle-n", type=int, default=None, help="assignment-oracle atom count")
-        cmd.add_argument("--seed", type=int, default=None, help="seed for sampling utilities")
     args = parser.parse_args(argv)
-    return run(args.config, args.command, out_dir=args.out,
-               oracle_n=args.oracle_n, seed=args.seed)
+    return run(args.config, args.command, out_dir=args.out, oracle_n=args.oracle_n)
 
 
 if __name__ == "__main__":

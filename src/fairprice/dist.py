@@ -22,7 +22,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DegenerateSlice, NoConvergence, OutOfRange, ValidationError
-from .numerics import EPS, MAX_ITER, golden_max, invert_monotone
+from .numerics import EPS, MAX_ITER, invert_monotone
 
 TAIL_MASS = 1e-10
 GRID_POINTS = 10_001
@@ -73,7 +73,7 @@ class Exponential(ValueDistribution):
 
     def __post_init__(self):
         if not (self.mean_value > 0 and math.isfinite(self.mean_value)):
-            raise ValidationError(f"exponential mean must be positive, got {self.mean_value}")
+            raise ValidationError(f"exponential mean must be finite and positive, got {self.mean_value}")
 
     @property
     def support_lo(self):
@@ -122,10 +122,10 @@ class ExponentialMixture(ValueDistribution):
         m = np.asarray(self.means, dtype=float)
         if w.ndim != 1 or w.shape != m.shape or len(w) == 0:
             raise ValidationError("weights and means must be equal-length nonempty sequences")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValidationError("mixture weights must be nonnegative and sum to 1")
-        if np.any(m <= 0):
-            raise ValidationError("mixture means must be positive")
+        if not np.all(np.isfinite(w) & (w >= 0)) or abs(w.sum() - 1.0) > 1e-12:
+            raise ValidationError("mixture weights must be finite, nonnegative and sum to 1")
+        if not np.all(np.isfinite(m) & (m > 0)):
+            raise ValidationError("mixture means must be finite and positive")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "means", tuple(float(x) for x in m))
 
@@ -210,7 +210,7 @@ class ScaledFamily(ValueDistribution):
 
     def __post_init__(self):
         if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValidationError(f"scale must be positive, got {self.scale}")
+            raise ValidationError(f"scale must be finite and positive, got {self.scale}")
 
     @property
     def support_lo(self):
@@ -250,6 +250,8 @@ class PiecewiseLinearCdf(ValueDistribution):
             raise ValidationError("need at least two knots")
         vs = np.array([k[0] for k in knots])
         ps = np.array([k[1] for k in knots])
+        if not np.all(np.isfinite(vs) & np.isfinite(ps)):
+            raise ValidationError("knot values and probabilities must be finite")
         if np.any(np.diff(vs) <= 0):
             raise ValidationError("knot values must be strictly increasing")
         if np.any(np.diff(ps) <= 0):
@@ -420,30 +422,20 @@ def gap_profile(slice_: MarketSlice) -> GapProfile:
 
 @lru_cache(maxsize=128)
 def _pair_gap_profile(f_l: ValueDistribution, f_h: ValueDistribution) -> GapProfile:
-    """The gap is quasi-concave, so a coarse grid argmax bracketed into a
-    golden-section refinement pins the maximizer; this also covers piecewise
-    families whose densities cross by jumping rather than through a root."""
+    """The gap is quasi-concave, so its grid argmax brackets the maximizer,
+    pinned to adjacent floats by the sign change of the gap's slope f_l - f_h
+    (also where piecewise densities cross by a jump). Without a sign change
+    in the bracket the bisection clamps to the end where, by the
+    likelihood-ratio order, the gap is larger, or onto a flat top."""
     grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), GRID_POINTS)
     gaps = np.asarray(_gap(f_l, f_h, grid))
     tv_grid = float(np.max(gaps))
     if tv_grid < 1e-12:
         raise DegenerateSlice("group distributions are numerically identical (gap below 1e-12)")
     i = int(np.argmax(gaps))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    # The gap's derivative is the density difference; bisecting its sign
-    # change beats comparing near-equal gap values (and still pins jump
-    # crossings of piecewise densities). It runs to adjacent floats, since
-    # an absolute tolerance leaves v* loose at small value scales. Fall back
-    # to golden section when the bracket does not straddle a sign change.
-    s_lo = float(f_h.pdf(lo)) - float(f_l.pdf(lo))
-    s_hi = float(f_h.pdf(hi)) - float(f_l.pdf(hi))
-    if s_lo < 0.0 < s_hi:
-        v_star = invert_monotone(
-            lambda v: np.asarray(f_h.pdf(v)) - np.asarray(f_l.pdf(v)),
-            0.0, lo, hi, increasing=True, xtol=0.0)
-    else:
-        v_star = golden_max(lambda v: _gap(f_l, f_h, v), lo, hi)
+    v_star = invert_monotone(lambda v: np.asarray(f_h.pdf(v)) - np.asarray(f_l.pdf(v)), 0.0,
+                             float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)]),
+                             xtol=0.0)
     return GapProfile(v_star=float(v_star), tv=float(_gap(f_l, f_h, v_star)))
 
 

@@ -1,16 +1,17 @@
-"""Root finding and quadrature primitives shared across the library.
+"""Root finding and quadrature primitives shared across the library:
+`bisect` and `invert_monotone` find roots (a maximum is found as the sign
+change of its slope), `gauss_legendre` and `adaptive_gauss_legendre`
+integrate.
 
 All target functions here are monotone on the chosen bracket. Scalar roots
 use Brent's method (tolerance 1e-12 on the argument, relative below unit
 scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
 and stops early once every bracket is two adjacent floats; given a
 derivative, it takes safeguarded Newton steps instead (rtsafe, Numerical
-Recipes 9.4), each element from its own start and bracket. The sale flags
-of gap-inverse price segments that may sell use a boolean bisection with a
-relative tolerance (every other sale flag flips at closed-form points).
-Quadrature is one 32-node Gauss-Legendre rule: fixed inside solve loops,
-or adaptive (each panel against its two halves, to a relative tolerance,
-with a cap on pending panels) where a result is reported.
+Recipes 9.4), each element from its own start and bracket. Quadrature is
+one 32-node Gauss-Legendre rule: fixed inside solve loops, or adaptive
+(each panel against its two halves, to a relative tolerance, with a cap on
+pending panels) where a result is reported.
 """
 
 from __future__ import annotations
@@ -78,21 +79,6 @@ def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_I
     return b
 
 
-def _bisect_flag(pred, a: float, b: float, *, rtol: float) -> tuple:
-    """Boolean bisection: shrink [a, b] towards the point where pred stops
-    holding (pred(a) holds, pred(b) does not) until b - a <= rtol*max(1, |b|).
-    Robust to plateaus where a signed root finder would stall."""
-    for _ in range(MAX_ITER):
-        if b - a <= rtol * max(1.0, abs(b)):
-            break
-        mid = 0.5 * (a + b)
-        if pred(mid):
-            a = mid
-        else:
-            b = mid
-    return a, b
-
-
 def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
                     xtol: float = XTOL, max_iter: int = MAX_ITER, fprime=None, x0=None):
     """Solve f(x) = t elementwise for monotone f; targets/lo/hi broadcast.
@@ -121,7 +107,7 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
     # brackets can be adjacent floats only below this width; test exactly from there
     ulp_floor = 4.0 * EPS * max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
     for _ in range(max_iter):
-        width = np.max(b - a)
+        width = np.max(b - a, initial=0.0)
         if width <= xtol:
             break
         mid = 0.5 * (a + b)
@@ -173,27 +159,6 @@ def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):
         x[live] = np.where(done, xl, nxt)
         live = live[~done]
     return x
-
-
-def golden_max(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_ITER) -> float:
-    """Argmax of a quasi-concave f on [lo, hi] by golden-section search."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
 
 
 @lru_cache(maxsize=1)

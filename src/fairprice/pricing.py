@@ -23,7 +23,7 @@ import numpy as np
 from .cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
 from .dist import TAIL_MASS, MarketSlice, delta, delta_inverse, gap_profile
 from .errors import OutOfRange, ValidationError
-from .numerics import _bisect_flag
+from .numerics import invert_monotone
 
 FORMULAS = (
     "identity",
@@ -36,7 +36,6 @@ FORMULAS = (
 
 NONDISCRIMINATION_TOL = 1e-6
 PRICE_GRID = 10_001
-FLIP_RTOL = 1e-13
 # formulas whose sale flag flips only at closed-form points (_flip_candidates)
 CLOSED_FORM_FLIPS = ("identity", "max_with_cost", "constant", "quantile_shift")
 
@@ -388,7 +387,7 @@ def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
     those whose price at v_lo already reaches the segment's end (gap-inverse
     prices are nondecreasing) price above every value and never sell. The
     other gap-inverse segments locate their flips on a 129-point grid,
-    refined by boolean bisection.
+    bisected to adjacent floats.
     Each stretch between cuts takes the flag at its midpoint, and
     neighbours with the same flag merge. The search stops at the working
     cap: the last stretch below it runs on to infinity.
@@ -458,18 +457,19 @@ def _flip_candidates(seg: Segment, slice_: MarketSlice, lo: float, hi: float) ->
 
 
 def _grid_flips(seg: Segment, slice_: MarketSlice, lo: float, hi: float) -> list:
-    """Cuts of [lo, hi] at the sale-flag flips seen on a 129-point grid, each
-    bisected to FLIP_RTOL: the search for gap-inverse segments that may sell."""
+    """Cuts of [lo, hi] at the sale-flag flips seen on a 129-point grid, all
+    bisected to adjacent floats at once: the search for gap-inverse segments
+    that may sell."""
     grid = np.linspace(lo, hi, 129)
     flags = _no_sale(seg, slice_, grid)
+    flips = np.flatnonzero(flags[:-1] != flags[1:])
+    roots = invert_monotone(
+        lambda v: (_no_sale(seg, slice_, v) != flags[flips]).astype(float),
+        np.full(len(flips), 0.5), grid[flips], grid[flips + 1], xtol=0.0)
     cuts = [lo]
-    for i in np.flatnonzero(flags[:-1] != flags[1:]):
-        left, right = _bisect_flag(
-            lambda v, start=flags[i]: _no_sale(seg, slice_, np.array([v]))[0] == start,
-            float(grid[i]), float(grid[i + 1]), rtol=FLIP_RTOL)
-        root = 0.5 * (left + right)
+    for root in roots:
         if cuts[-1] < root < hi:
-            cuts.append(root)
+            cuts.append(float(root))
     return cuts + [hi]
 
 

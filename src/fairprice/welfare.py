@@ -25,7 +25,7 @@ import numpy as np
 from .cutoffs import Region, classify_region, solve_kappa
 from .dist import TAIL_MASS, Market, MarketSlice, delta, delta_inverse, gap_profile
 from .errors import ConsistencyError, UnsupportedConfiguration, ValidationError, ZeroGains
-from .numerics import golden_max
+from .numerics import bisect
 from .pricing import PricingRule, sale_pieces
 
 CLOSED_FORM_RTOL = 1e-6
@@ -252,27 +252,30 @@ def _as_weighted_slices(market_or_slice):
 
 def uniform_price_revenue(market_or_slice):
     """Best single posted price across the market: maximizes the weighted sum
-    of (p - c) times survival of the group mixture, by refined grid search
-    plus local golden-section polish. Returns (price, revenue)."""
+    of (p - c) times survival of the group mixture. The best cell of a
+    4,001-point grid brackets it; Brent pins the sign change of the revenue's
+    slope there, or else the better cell end is taken. Returns (price, revenue)."""
     pairs = _as_weighted_slices(market_or_slice)
 
+    def mix(s, law, p):  # the group mixture's cdf or pdf
+        return s.alpha * np.asarray(getattr(s.f_h, law)(p)) + (1 - s.alpha) * np.asarray(getattr(s.f_l, law)(p))
+
     def revenue(p):
-        p = np.asarray(p, dtype=float)
-        total = np.zeros_like(p)
-        for s, w in pairs:
-            mix = s.alpha * np.asarray(s.f_h.cdf(p)) + (1 - s.alpha) * np.asarray(s.f_l.cdf(p))
-            total += w * (p - s.c) * (1.0 - mix)
-        return total
+        return sum(w * (p - s.c) * (1.0 - mix(s, "cdf", p)) for s, w in pairs)
+
+    def slope(p):
+        return float(sum(w * (1.0 - mix(s, "cdf", p) - (p - s.c) * mix(s, "pdf", p)) for s, w in pairs))
 
     lo = min(s.support_lo for s, _ in pairs)
     hi = max(s.cap() for s, _ in pairs)
     grid = np.linspace(lo, hi, 4001)
-    vals = revenue(grid)
-    i = int(np.argmax(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    p_best = golden_max(lambda p: float(revenue(np.asarray(p))), float(a), float(b))
-    return float(p_best), float(revenue(np.asarray(p_best)))
+    i = int(np.argmax(revenue(grid)))
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
+    if slope(a) > 0.0 > slope(b):
+        p_best = bisect(slope, a, b, xtol=0.0)
+    else:
+        p_best = max((a, b), key=revenue)
+    return float(p_best), float(revenue(p_best))
 
 
 def bbm_triangle(market: Market):

@@ -14,7 +14,6 @@ BASE_CONFIG = {
          "f_h": {"family": "exponential", "mean": 3.0}},
     ]},
     "oracle_n": 200,
-    "seed": 7,
 }
 
 
@@ -79,10 +78,12 @@ class TestValidation:
         assert err["exit_code"] == 2
 
     def test_unknown_key_rejected(self, tmp_path):
-        payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["surprise"] = True
-        cfg = write_config(tmp_path, payload)
-        assert run(cfg, "solve", out_dir=tmp_path / "out") == 2
+        # "seed" is no longer a config key, so it is as unknown as any other
+        for key, value in (("surprise", True), ("seed", 7)):
+            payload = json.loads(json.dumps(BASE_CONFIG))
+            payload[key] = value
+            cfg = write_config(tmp_path, payload)
+            assert run(cfg, "solve", out_dir=tmp_path / key) == 2
 
     def test_unknown_distribution_key_rejected(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
@@ -103,21 +104,26 @@ class TestValidation:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert run(cfg, "verify", out_dir=tmp_path / "out", oracle_n=7) == 2
 
-    @pytest.mark.parametrize("override", [{"oracle_n": "x"}, {"seed": "x"}], ids=["oracle-n", "seed"])
+    @pytest.mark.parametrize("override", [{"oracle_n": "x"}], ids=["oracle-n"])
     def test_non_numeric_override_is_config_error(self, tmp_path, override):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
         assert run(cfg, "solve", out_dir=out, **override) == 2
         assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
 
-    @pytest.mark.parametrize("key, value", [
-        ("c", float("nan")),
-        ("c", float("inf")),
-        ("weight", float("nan")),
-    ], ids=["cost-nan", "cost-inf", "weight-nan"])
-    def test_non_finite_slice_input_is_config_error(self, tmp_path, key, value):
+    @pytest.mark.parametrize("fields", [
+        {"c": float("nan")},
+        {"c": float("inf")},
+        {"weight": float("nan")},
+        {"f_l": {"family": "exponential_mixture", "weights": [float("nan"), 1.0], "means": [1.0, 2.0]}},
+        {"f_l": {"family": "exponential_mixture", "weights": [0.5, 0.5], "means": [1.0, float("inf")]}},
+        {"f_l": {"family": "piecewise_linear", "knots": [[0.0, 0.0], [float("nan"), 0.8], [2.0, 1.0]]},
+         "f_h": {"family": "piecewise_linear", "knots": [[0.0, 0.0], [1.0, 0.3], [2.0, 1.0]]}},
+    ], ids=["cost-nan", "cost-inf", "weight-nan", "mixture-weight-nan", "mixture-mean-inf",
+            "knot-nan"])
+    def test_non_finite_slice_input_is_config_error(self, tmp_path, fields):
         payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["market"]["slices"][0][key] = value
+        payload["market"]["slices"][0].update(fields)
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert run(cfg, "solve", out_dir=out) == 2
@@ -143,13 +149,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.update(sweep={"alpha_grid": ["x"]}),
-        lambda p: p.update(seed="x"),
         lambda p: p.update(oracle_n=[200]),
         lambda p: p.update(outcomes={"n_atoms": "many"}),
         lambda p: p.update(sweep=5),
         lambda p: p.update(figures=None),
         lambda p: p.update(outcomes=3.5),
-    ], ids=["grid-entry", "seed", "oracle-n", "n-atoms",
+    ], ids=["grid-entry", "oracle-n", "n-atoms",
             "sweep-not-object", "figures-null", "outcomes-not-object"])
     def test_non_numeric_config_value_is_config_error(self, tmp_path, edit):
         payload = json.loads(json.dumps(BASE_CONFIG))

@@ -133,6 +133,31 @@ def test_gap_maximizer_is_found_to_adjacent_floats(scale):
     assert gp.tv == pytest.approx(0.125, abs=1e-15)
 
 
+def _piecewise_pair(knots_l, knots_h):
+    return MarketSlice(c=0.0, alpha=0.5, f_l=PiecewiseLinearCdf(knots=knots_l),
+                       f_h=PiecewiseLinearCdf(knots=knots_h))
+
+
+def test_gap_maximizer_at_a_density_jump():
+    """The densities jump across each other at the knot v = 1 (0.6 -> 0.4
+    against 0.3 -> 0.7), so the gap's slope changes sign by a jump there:
+    the sign bisection lands within 2 ulps of the knot, and tv = 0.6 - 0.3."""
+    s = _piecewise_pair(((0.0, 0.0), (1.0, 0.6), (2.0, 1.0)), ((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))
+    gp = gap_profile(s)
+    assert abs(gp.v_star - 1.0) <= 2.0 * EPS
+    assert gp.tv == pytest.approx(0.3, abs=2.0 * EPS)
+
+
+def test_flat_topped_gap_settles_on_its_top():
+    """The densities agree on [0.5, 1], so the gap is flat at 0.25 there and
+    its slope has no sign change: the bisection clamps onto the flat top."""
+    s = _piecewise_pair(((0.0, 0.0), (0.5, 0.5), (1.0, 0.75), (2.0, 1.0)),
+                        ((0.0, 0.0), (0.5, 0.25), (1.0, 0.5), (2.0, 1.0)))
+    gp = gap_profile(s)
+    assert 0.5 <= gp.v_star <= 1.0
+    assert gp.tv == 0.25
+
+
 class TestDeltaInverse:
     def test_at_total_variation_both_branches(self, exp13):
         gp = gap_profile(exp13)
@@ -284,6 +309,25 @@ class TestValidation:
     def test_mixture_weights_validated(self):
         with pytest.raises(ValidationError):
             ExponentialMixture(weights=(0.5, 0.6), means=(1.0, 2.0))
+
+    @pytest.mark.parametrize("weights, means", [
+        ((math.nan, 1.0), (1.0, 2.0)),
+        ((0.5, 0.5), (1.0, math.inf)),
+        ((0.5, 0.5), (math.nan, 2.0)),
+        ((math.inf, -math.inf), (1.0, 2.0)),
+    ], ids=["weight-nan", "mean-inf", "mean-nan", "weights-inf"])
+    def test_mixture_parameters_must_be_finite(self, weights, means):
+        with pytest.raises(ValidationError, match="finite"):
+            ExponentialMixture(weights=weights, means=means)
+
+    @pytest.mark.parametrize("knots", [
+        ((0.0, 0.0), (math.nan, 0.8), (2.0, 1.0)),
+        ((0.0, 0.0), (1.0, math.nan), (2.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.5), (math.inf, 1.0)),
+    ], ids=["value-nan", "probability-nan", "value-inf"])
+    def test_piecewise_knots_must_be_finite(self, knots):
+        with pytest.raises(ValidationError, match="finite"):
+            PiecewiseLinearCdf(knots=knots)
 
     def test_piecewise_needs_full_support(self):
         with pytest.raises(ValidationError):

@@ -8,13 +8,13 @@ from conftest import mixture_slice, narrow_slice, scaled12_slice
 from fairprice.cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
 from fairprice.dist import Exponential, ExponentialMixture, MarketSlice, ScaledFamily, gap_profile
 from fairprice.errors import OutOfRange, ValidationError
-from fairprice.numerics import _bisect_flag
 from fairprice.pricing import (
     FORMULAS,
     NONDISCRIMINATION_TOL,
     PricingRule,
     Segment,
     _eval_formula,
+    _grid_flips,
     _price_grid,
     build_p_anti,
     build_p_ass,
@@ -395,12 +395,12 @@ def test_sale_pieces_partition_by_the_sale_flag(kind, cost, scale, monkeypatch):
     flag search by grid and bisection runs only where a gap-inverse segment
     may sell."""
     s = _sale_slice(kind, scale, cost)
-    bisections = []
-    monkeypatch.setattr("fairprice.pricing._bisect_flag",
-                        lambda *a, **k: bisections.append(a[1:3]) or _bisect_flag(*a, **k))
+    searches = []
+    monkeypatch.setattr("fairprice.pricing._grid_flips",
+                        lambda *a: searches.append(a[2:]) or _grid_flips(*a))
     cap = s.cap()
     for rule in _sale_rules(s):
-        before = len(bisections)
+        before = len(searches)
         for theta in ("l", "h"):
             pieces = sale_pieces(rule, s, theta)
             assert pieces[0][0] == s.support_lo and math.isinf(pieces[-1][1])
@@ -419,7 +419,20 @@ def test_sale_pieces_partition_by_the_sale_flag(kind, cost, scale, monkeypatch):
                 else:
                     assert np.all(price > v - slack), (rule.name, theta, a, b, seg.tag)
         if not _gap_inverse_searched(rule, s):
-            assert len(bisections) == before, rule.name
+            assert len(searches) == before, rule.name
+
+
+def test_grid_flips_cut_at_adjacent_floats():
+    """A hand-built gap-inverse segment that sells on part of its range: the
+    high group's price Delta_lo^-1(F_h(v)) on exp(1) vs exp(3) is about v/2
+    near 0 and passes v once, near 1.4436. The cut is the first float priced
+    above its value, and the float below it sells."""
+    s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
+    seg = Segment("h", 0.0, 1.45, "delta_lower_inverse_shift", (("offset", 0.0),))
+    lo, cut, hi = _grid_flips(seg, s, 0.0, 1.45)
+    assert (lo, hi) == (0.0, 1.45) and cut == pytest.approx(1.4436354751788, rel=1e-12)
+    price = np.asarray(_eval_formula(seg, s, np.array([np.nextafter(cut, 0.0), cut])))
+    assert price[0] <= np.nextafter(cut, 0.0) and price[1] > cut
 
 
 def test_anti_assortative_sale_stretch_below_the_lower_root():

@@ -371,6 +371,18 @@ class TestUniformPricing:
         assert price == pytest.approx(1.0, abs=1e-5)
         assert revenue == pytest.approx(1.0 / math.e, abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("cost_share", [0.0, 0.5])
+    def test_single_exponential_price_at_every_scale(self, lam, cost_share):
+        """(p - c) exp(-p / lam) peaks at p = c + lam. Golden-section search
+        on the revenue stopped 1e-9 to 6.6e-8 (relative) away; Brent on its
+        slope lands within 1e-12 at every scale."""
+        c = cost_share * lam
+        s = MarketSlice(c=c, alpha=0.5, f_l=Exponential(lam), f_h=Exponential(lam))
+        price, revenue = uniform_price_revenue(s)
+        assert price == pytest.approx(c + lam, rel=1e-12)
+        assert revenue == pytest.approx(lam * math.exp(-(c + lam) / lam), rel=1e-14)
+
     def test_never_beats_the_optimal_rule(self, exp13):
         _, revenue = uniform_price_revenue(exp13)
         assert revenue <= welfare_report(build_p_star(exp13), exp13).profit + 1e-12

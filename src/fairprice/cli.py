@@ -176,6 +176,8 @@ class ExperimentConfig:
         self.market = _parse_market(raw["market"])
         self.oracle_n = _oracle_n(raw.get("oracle_n", 400))
         self.out_dir = raw.get("out_dir")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValidationError(f"out_dir must be a string, got {self.out_dir!r}")
         self.sweep_alpha, self.sweep_gamma, self.sweep_gains = _grids(
             raw, "sweep", {"alpha_grid": None, "gamma_grid": None, "gains_grid": None})
         self.fig_m_grid, self.fig_alpha_grid, self.fig_cost_grid, self.fig_beta_grid = _grids(
@@ -185,6 +187,9 @@ class ExperimentConfig:
                              "beta_grid": [0.0, 0.5, 1.0]})
         self.sigma_fractions, = _grids(
             raw, "outcomes", {"sigma_fractions": [0.0, 0.25, 0.5, 0.75, 1.0]}, {"n_atoms"})
+        for i, frac in enumerate(self.sigma_fractions):
+            if not (0.0 <= frac <= 1.0):
+                raise ValidationError(f"outcomes.sigma_fractions[{i}] must lie in [0, 1], got {frac!r}")
         self.outcome_atoms = _number(raw.get("outcomes", {}).get("n_atoms", 10_000),
                                      "outcomes.n_atoms", int)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile, reflect_g_h
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import adaptive_gauss_legendre, bisect, gauss_legendre
+from .numerics import EPS, adaptive_gauss_legendre, bisect, gauss_legendre
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
@@ -93,33 +93,35 @@ def fixed_point_residual(slice_: MarketSlice, k5):
     return out if np.asarray(out).shape else float(out)
 
 
-@lru_cache(maxsize=512)
+def _reflection_root(slice_: MarketSlice, target: float) -> float:
+    """Root of alpha * h(v) = target on the upper branch. There
+    support_lo <= g(v) <= v*, so v - v* <= h(v) <= v - support_lo and a
+    positive target's root lies in [max(v*, support_lo + target/alpha),
+    v* + target/alpha]. The lower bound is attained where the gap vanishes
+    above bounded supports (g = support_lo), so it is lowered by a few ulps
+    against rounding in h. A target <= 0 has the root v*, where h = 0."""
+    alpha = slice_.alpha
+    v_star = gap_profile(slice_).v_star
+    if target <= 0.0:
+        return v_star
+    hi = v_star + target / alpha
+    lo = max(v_star, slice_.support_lo + target / alpha - 8.0 * EPS * hi)
+    return bisect(lambda v: alpha * _h_of(slice_, v) - target, lo, hi)
+
+
 def kappa_bracket(slice_: MarketSlice):
     """The interval [v_hat, v_tilde] on which the top-cutoff fixed point has
     exactly one root: the upper end exhausts the low-group margin at the gap
-    maximizer, the lower end is the infimum where the reflected spread covers
-    the support floor."""
+    maximizer, alpha * h = (1 - alpha)(v* - c); the lower end is the infimum
+    where the reflected spread covers the support floor,
+    alpha * h = (1 - alpha)(support_lo - c). Each end is one bisection on
+    its closed-form bracket (_reflection_root)."""
     alpha, c = slice_.alpha, slice_.c
-    gp = gap_profile(slice_)
-    lo_v = slice_.support_lo
-
-    target_tilde = (1.0 - alpha) * (gp.v_star - c)
-    hi = max(2.0 * gp.v_star - lo_v, gp.v_star + 1.0)
-    for _ in range(200):
-        if alpha * _h_of(slice_, hi) >= target_tilde:
-            break
-        hi = lo_v + 2.0 * (hi - lo_v)
-    else:
-        raise NoConvergence("could not bracket the tilde end of the k5 interval",
-                            hi=hi, target=target_tilde)
-    v_tilde = bisect(lambda v: alpha * _h_of(slice_, v) - target_tilde, gp.v_star, hi)
-
-    target_hat = (1.0 - alpha) * (lo_v - c)
-    if alpha * _h_of(slice_, gp.v_star) >= target_hat:
-        v_hat = gp.v_star
-    else:
-        v_hat = bisect(lambda v: alpha * _h_of(slice_, v) - target_hat, gp.v_star, v_tilde)
-    return v_hat, v_tilde
+    if not (0.0 < alpha < 1.0):
+        raise UnsupportedConfiguration("cutoff system needs both groups present (0 < alpha < 1)")
+    v_star = gap_profile(slice_).v_star
+    return (_reflection_root(slice_, (1.0 - alpha) * (slice_.support_lo - c)),
+            _reflection_root(slice_, (1.0 - alpha) * (v_star - c)))
 
 
 @lru_cache(maxsize=512)
@@ -135,8 +137,6 @@ def solve_kappa(slice_: MarketSlice) -> Kappa:
     if region is not Region.C1:
         raise WrongRegion(f"cutoff system requires region C1, slice is {region.value}")
     alpha, c = slice_.alpha, slice_.c
-    if not (0.0 < alpha < 1.0):
-        raise UnsupportedConfiguration("cutoff system needs both groups present (0 < alpha < 1)")
     v_hat, v_tilde = kappa_bracket(slice_)
 
     r_lo = fixed_point_residual(slice_, v_hat)
@@ -214,7 +214,9 @@ def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float,
 
 def _tilde_band(slice_: MarketSlice, k5: float):
     """Given a candidate top cutoff, return (k2, k4, d5, harmonic, middle) or
-    report why the middle equation has no usable root ('small' / 'large').
+    report why the middle equation has no usable root: 'small' below the band
+    of such cutoffs (the right integral is too small), 'large' above it (the
+    k3 root would pass the gap maximizer).
 
     The harmonic level is pinned by continuity of the low-side dual at the
     top cutoff: harmonic = (right integral) - (k5 - k4)/4. The right integrand
@@ -242,11 +244,12 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     """Cutoffs for the noisy-value variant (values uniform on [0, 2v]),
     solved for the c = 0, alpha = 1/2 specialization only.
 
-    A walk up from v* in steps of 0.05 v* brackets the band of top cutoffs
-    on which the middle equation is solvable. Brent's method then solves
-    the outer residual for k5 across that band; each evaluation solves the
-    middle quadratic-integral equation for k3, reads k1 from the harmonic
-    identity, and scores the remaining quantile equality. The solve loop
+    Brent's method solves the outer residual for k5 on [v*, cap]. Each
+    evaluation solves the middle quadratic-integral equation for k3, reads
+    k1 from the harmonic identity, and scores the remaining quantile
+    equality. Off the band of k5 on which the middle equation is solvable,
+    the outer function is +1 below and -1 above; inside, the residual falls
+    through zero, so [v*, cap] brackets one sign change. The solve loop
     integrates with the fixed Gauss-Legendre rule; the residuals reported
     and checked are recomputed by its adaptive composite, which is relative.
     """
@@ -256,27 +259,10 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     if classify_region(slice_) is not Region.C1:
         raise WrongRegion("noisy-value cutoffs require region C1")
     gp = gap_profile(slice_)
-    cap = slice_.cap()
-
-    # The middle equation is solvable only on a band of k5 values: below it
-    # the right integral is too small ('small'), above it the k3 root would
-    # pass the gap maximizer ('large'). A walk in steps relative to v* keeps
-    # the last 'small' point and stops at the first 'large' one; the outer
-    # residual is positive at the band's lower edge and negative at its
-    # upper edge, so Brent's method brackets a root between the two.
-    step = 0.05 * gp.v_star
-    lo = hi = gp.v_star * (1.0 + 1e-9)
-    while (band := _tilde_band(slice_, hi)) != "large":
-        if band == "small":
-            lo = hi
-        hi += step
-        if hi > cap:
-            raise NoConvergence("upper edge of the feasible band not found below the cap",
-                                cap=cap)
 
     def outer(k5):
-        """(k1..k4) and the outer residual; an infeasible point inside the
-        band gets its side's sign ('small' positive, 'large' negative)."""
+        """(k1..k4) and the outer residual; a point off the band gets its
+        side's sign ('small' positive, 'large' negative)."""
         band = _tilde_band(slice_, k5)
         if isinstance(band, str):
             return None, 1.0 if band == "small" else -1.0
@@ -285,7 +271,8 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         k1 = harmonic * k2 / (k2 - harmonic)
         return (k1, k2, k3, k4), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
 
-    k5 = bisect(lambda v: outer(v)[1], lo, hi)
+    # xtol=0.0: the default stop scales with the cap, not with k5
+    k5 = bisect(lambda v: outer(v)[1], gp.v_star * (1.0 + 1e-9), slice_.cap(), xtol=0.0)
     sol, _ = outer(k5)
     if sol is None:
         raise NoConvergence("outer root collapsed onto an infeasible point", k5=k5)

@@ -434,8 +434,7 @@ def _pair_gap_profile(f_l: ValueDistribution, f_h: ValueDistribution) -> GapProf
         raise DegenerateSlice("group distributions are numerically identical (gap below 1e-12)")
     i = int(np.argmax(gaps))
     v_star = invert_monotone(lambda v: np.asarray(f_h.pdf(v)) - np.asarray(f_l.pdf(v)), 0.0,
-                             float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)]),
-                             xtol=0.0)
+                             float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)]))
     return GapProfile(v_star=float(v_star), tv=float(_gap(f_l, f_h, v_star)))
 
 

@@ -206,11 +206,6 @@ def coupling_welfare(slice_: MarketSlice, coupling: Coupling):
     return profit, cs_l, cs_h
 
 
-def transport_value(slice_: MarketSlice, coupling: Coupling) -> float:
-    """Expected pair profit under the coupling."""
-    return float(np.sum(coupling.w * np.asarray(pair_profit(slice_, coupling.v_l, coupling.v_h))))
-
-
 def sample_pairs(coupling: Coupling, m: int, seed: int) -> np.ndarray:
     """m i.i.d. (v_l, v_h) draws by atom weight; deterministic given seed."""
     if m < 1:
@@ -250,9 +245,3 @@ def optimal_support_distance(slice_: MarketSlice, v_l, v_h):
     ]
     out = np.minimum.reduce(cands)
     return out if out.shape else float(out)
-
-
-def coupling_to_csv_rows(coupling: Coupling):
-    """Rows (v_l, v_h, weight, source) for CSV serialization."""
-    for vl, vh, w in zip(coupling.v_l, coupling.v_h, coupling.w):
-        yield float(vl), float(vh), float(w), coupling.source

@@ -6,12 +6,12 @@ integrate.
 All target functions here are monotone on the chosen bracket. Scalar roots
 use Brent's method (tolerance 1e-12 on the argument, relative below unit
 scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
-and stops early once every bracket is two adjacent floats; given a
-derivative, it takes safeguarded Newton steps instead (rtsafe, Numerical
-Recipes 9.4), each element from its own start and bracket. Quadrature is
-one 32-node Gauss-Legendre rule: fixed inside solve loops, or adaptive
-(each panel against its two halves, to a relative tolerance, with a cap on
-pending panels) where a result is reported.
+until every bracket is two adjacent floats; given a derivative, it takes
+safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), each
+element from its own start and bracket. Quadrature is one 32-node
+Gauss-Legendre rule: fixed inside solve loops, or adaptive (each panel
+against its two halves, to a relative tolerance, with a cap on pending
+panels) where a result is reported.
 """
 
 from __future__ import annotations
@@ -80,18 +80,19 @@ def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_I
 
 
 def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
-                    xtol: float = XTOL, max_iter: int = MAX_ITER, fprime=None, x0=None):
+                    max_iter: int = MAX_ITER, fprime=None, x0=None):
     """Solve f(x) = t elementwise for monotone f; targets/lo/hi broadcast.
 
     Out-of-bracket targets clamp to the nearer endpoint, which is the
     behaviour the Delta-inverse callers rely on for vanishing tails.
-    Stops early once every bracket is two adjacent floats (each midpoint
-    rounds to an end): no later step could change 0.5 * (a + b).
+    Bisects until every bracket is two adjacent floats (each midpoint
+    rounds to an end), when no later step could change 0.5 * (a + b), or
+    until max_iter steps.
 
     Given a derivative fprime, each element instead runs safeguarded Newton
     from x0, which is then required; f(x) must then return the pair
-    (f(x), err), err bounding the rounding error of f(x), and xtol is not
-    used. See _safeguarded_newton for the steps and stop rules.
+    (f(x), err), err bounding the rounding error of f(x). See
+    _safeguarded_newton for the steps and stop rules.
     """
     t = np.asarray(targets, dtype=float)
     if fprime is not None:
@@ -107,11 +108,8 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
     # brackets can be adjacent floats only below this width; test exactly from there
     ulp_floor = 4.0 * EPS * max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
     for _ in range(max_iter):
-        width = np.max(b - a, initial=0.0)
-        if width <= xtol:
-            break
         mid = 0.5 * (a + b)
-        if width <= ulp_floor and np.all((mid == a) | (mid == b)):
+        if np.max(b - a, initial=0.0) <= ulp_floor and np.all((mid == a) | (mid == b)):
             break
         fm = np.asarray(f(mid), dtype=float)
         below = (fm < t) if increasing else (fm > t)

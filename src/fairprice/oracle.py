@@ -156,12 +156,3 @@ def oracle_gap_tilde(slice_: MarketSlice, n: int) -> float:
     target = tilde_transport_value(slice_)
     _, value = solve_assignment(discretize(slice_, n, objective="tilde"))
     return abs(value - target) / abs(target)
-
-
-def instance_to_csv_rows(inst: AssignmentInstance, perm):
-    """Debug dump: one row per matrix entry with the assignment flag."""
-    perm = np.asarray(perm)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            yield (i, j, float(inst.v_l_atoms[i]), float(inst.v_h_atoms[j]),
-                   float(inst.cost_matrix[i, j]), int(perm[i] == j))

@@ -465,7 +465,7 @@ def _grid_flips(seg: Segment, slice_: MarketSlice, lo: float, hi: float) -> list
     flips = np.flatnonzero(flags[:-1] != flags[1:])
     roots = invert_monotone(
         lambda v: (_no_sale(seg, slice_, v) != flags[flips]).astype(float),
-        np.full(len(flips), 0.5), grid[flips], grid[flips + 1], xtol=0.0)
+        np.full(len(flips), 0.5), grid[flips], grid[flips + 1])
     cuts = [lo]
     for root in roots:
         if cuts[-1] < root < hi:

@@ -187,6 +187,27 @@ class TestValidation:
         assert err["error"] == "ValidationError"
         assert "kappa.json" in err["message"]
 
+    def test_non_string_out_dir_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # without --out the output directory comes from the config
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["out_dir"] = 5
+        cfg = write_config(tmp_path, payload)
+        monkeypatch.chdir(tmp_path)
+        assert run(cfg, "solve") == 2
+        assert "out_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frac", [1.5, -0.5])
+    def test_sigma_fraction_outside_unit_interval_is_config_error(self, tmp_path, frac):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["outcomes"] = {"sigma_fractions": [0.5, frac]}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "outcomes", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "outcomes.sigma_fractions[1]" in err["message"]
+        assert not (out / "outcomes.csv").exists()
+
     def test_lr_order_violation_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["f_l"]["mean"] = 5.0

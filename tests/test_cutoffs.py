@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import narrow_slice, random_c1_slices, scaled12_slice
+from conftest import mixture_slice, narrow_slice, random_c1_slices, scaled12_slice
 from fairprice.cutoffs import (
     Kappa,
     Region,
@@ -14,8 +14,9 @@ from fairprice.cutoffs import (
     solve_kappa,
     solve_kappa_tilde,
 )
-from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
+from fairprice.dist import Exponential, MarketSlice, ScaledFamily, delta, gap_profile, reflect_g_h
 from fairprice.errors import NoConvergence, UnsupportedConfiguration, WrongRegion
+from fairprice.numerics import EPS
 
 
 class TestClassifyRegion:
@@ -155,6 +156,59 @@ class TestSolveKappa:
         assert shrink[2] <= 2e-4
 
 
+BRACKET_FAMILIES = {
+    "exponential": lambda a: MarketSlice(c=0.0, alpha=a, f_l=Exponential(1.0), f_h=Exponential(3.0)),
+    "mixture": lambda a: mixture_slice(3, alpha=a),
+    "cost-scaled": lambda a: scaled12_slice(1.5, alpha=a),
+    "narrow": narrow_slice,
+}
+
+
+def _value_scaled(s: MarketSlice, lam: float) -> MarketSlice:
+    return MarketSlice(c=s.c * lam, alpha=s.alpha,
+                       f_l=ScaledFamily(s.f_l, lam), f_h=ScaledFamily(s.f_h, lam))
+
+
+class TestKappaBracket:
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    @pytest.mark.parametrize("family", sorted(BRACKET_FAMILIES))
+    def test_ends_solve_their_equations_in_closed_form_brackets(self, family, alpha):
+        """v_hat solves alpha*h = (1-alpha)(lo - c) and v_tilde solves
+        alpha*h = (1-alpha)(v* - c). Since lo <= g <= v* on the upper branch,
+        a positive target t has its root in [max(v*, lo + t/alpha),
+        v* + t/alpha]; t <= 0 has the root v*. Both ends scale with values."""
+        base = kappa_bracket(BRACKET_FAMILIES[family](alpha))
+        for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            s = _value_scaled(BRACKET_FAMILIES[family](alpha), lam)
+            v_star = gap_profile(s).v_star
+            ends = kappa_bracket(s)
+            targets = ((1 - alpha) * (s.support_lo - s.c), (1 - alpha) * (v_star - s.c))
+            for v, t in zip(ends, targets):
+                if t <= 0.0:
+                    assert v == v_star
+                    continue
+                lo, hi = max(v_star, s.support_lo + t / alpha), v_star + t / alpha
+                assert lo - 16 * EPS * hi <= v <= hi
+                assert alpha * reflect_g_h(s, v)[1] == pytest.approx(t, rel=1e-10)
+            assert np.asarray(ends) / lam == pytest.approx(np.asarray(base), rel=1e-11)
+
+    def test_flat_gap_at_the_lower_end(self):
+        """Above the narrow supports the gap vanishes, g is the support floor,
+        and both ends sit on their brackets' lower bounds: rounding in h put both
+        ends of an unpadded bracket on the same side of the root."""
+        s = narrow_slice(alpha=0.3)
+        v_hat, v_tilde = kappa_bracket(s)
+        assert v_hat == pytest.approx(1.0 + 0.35 / 0.3, rel=1e-14)
+        assert v_tilde == pytest.approx(1.0 + 0.7 / 0.3, rel=1e-14)
+        assert solve_kappa(s).max_residual <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_single_group_unsupported(self, alpha):
+        s = MarketSlice(c=0.0, alpha=alpha, f_l=Exponential(1.0), f_h=Exponential(3.0))
+        with pytest.raises(UnsupportedConfiguration):
+            kappa_bracket(s)
+
+
 class TestSolveEta:
     def test_values_and_residuals(self, c2_slice):
         gp = gap_profile(c2_slice)
@@ -243,6 +297,25 @@ class TestSolveKappaTilde:
         assert np.max(np.abs(np.asarray(k.as_tuple()) - self.PINNED[m])) <= 1e-8
         # only the residual certificate runs the adaptive quadrature
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("m", [2.0, 3.0, 5.0])
+    def test_outer_solve_needs_no_band_search(self, m, monkeypatch):
+        """One Brent solve on [v*, cap]: a walk up from v* to bracket the
+        band of solvable top cutoffs made 36-41 band evaluations here."""
+        import fairprice.cutoffs as cutoffs
+
+        calls = []
+        real = cutoffs._tilde_band
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(cutoffs, "_tilde_band", counting)
+        solve_kappa_tilde.cache_clear()
+        k = solve_kappa_tilde(MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m)))
+        assert k.max_residual <= 1e-7
+        assert len(calls) <= 24
 
     @pytest.mark.parametrize("m", [2.0, 2.1213818192835876, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])
     def test_certificate_integral_is_tight(self, m):

@@ -362,7 +362,7 @@ def _bisection_inverse(s, q, branch):
         hi = s.support_hi if math.isfinite(s.support_hi) else max(
             float(s.f_l.quantile(1.0 - 1e-13)), float(s.f_h.quantile(1.0 - 1e-13)))
     return invert_monotone(lambda v: delta(s, v), np.clip(q, 0.0, gp.tv), lo, hi,
-                           increasing=branch == "lower", xtol=0.0, max_iter=2000)
+                           increasing=branch == "lower", max_iter=2000)
 
 
 @st.composite

@@ -13,7 +13,6 @@ from fairprice.matching import (
     mix_for_target_surplus,
     optimal_support_distance,
     sample_pairs,
-    transport_value,
 )
 from fairprice.welfare import pair_profit, surplus_closed_forms, welfare_report
 from fairprice.pricing import build_p_star
@@ -55,7 +54,7 @@ class TestRhoStar:
     def test_transport_value_attains_analytic_profit(self, exp13):
         rho = build_rho_star(exp13, 10_000)
         profit = welfare_report(build_p_star(exp13), exp13).profit
-        assert transport_value(exp13, rho) == pytest.approx(profit, rel=1e-3)
+        assert coupling_welfare(exp13, rho)[0] == pytest.approx(profit, rel=1e-3)
 
 
 class TestRhoTilde:
@@ -82,8 +81,8 @@ class TestRhoTilde:
 
     def test_same_transport_value_as_rho_star(self, exp13):
         n = 10_000
-        star = transport_value(exp13, build_rho_star(exp13, n))
-        tilde = transport_value(exp13, build_rho_tilde(exp13, n))
+        star = coupling_welfare(exp13, build_rho_star(exp13, n))[0]
+        tilde = coupling_welfare(exp13, build_rho_tilde(exp13, n))[0]
         assert tilde == pytest.approx(star, rel=1e-6)
 
 
@@ -171,12 +170,3 @@ class TestCouplingValidation:
         with pytest.raises(ValidationError):
             Coupling(v_l=np.array([1.0, 2.0]), v_h=np.array([1.0]),
                      w=np.array([1.0]), source="bad")
-
-    def test_csv_rows_carry_source(self, exp13):
-        from fairprice.matching import coupling_to_csv_rows
-
-        rho = build_rho_star(exp13, 50)
-        rows = list(coupling_to_csv_rows(rho))
-        assert len(rows) == len(rho)
-        assert all(r[3] == "rho_star" for r in rows)
-        assert sum(r[2] for r in rows) == pytest.approx(1.0, abs=1e-9)

@@ -16,7 +16,6 @@ from fairprice.matching import optimal_support_distance
 from fairprice.oracle import (
     AssignmentInstance,
     discretize,
-    instance_to_csv_rows,
     oracle_gap,
     oracle_gap_tilde,
     solve_assignment,
@@ -238,11 +237,3 @@ class TestTildeObjective:
         with pytest.raises(UnsupportedConfiguration):
             oracle_gap_tilde(s, 200)
 
-
-class TestDebugDump:
-    def test_csv_rows_cover_matrix(self, exp13):
-        inst = discretize(exp13, 10)
-        perm, _ = solve_assignment(inst)
-        rows = list(instance_to_csv_rows(inst, perm))
-        assert len(rows) == 100
-        assert sum(r[-1] for r in rows) == 10

@@ -501,11 +501,14 @@ def run(config_path, command: str, out_dir=None, oracle_n=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error(out, EXIT_CONFIG, type(exc).__name__, str(exc))
         return EXIT_CONFIG
+    # read before validation, so that a config error lands in error.json too
+    if out is None and isinstance(raw, dict) and isinstance(raw.get("out_dir"), str):
+        out = Path(raw["out_dir"] or "out")
     try:
         config = ExperimentConfig(raw)
         if oracle_n is not None:
             config.oracle_n = _oracle_n(oracle_n)
-        out = Path(out_dir) if out_dir else Path(config.out_dir or "out")
+        out = out or Path("out")
         out.mkdir(parents=True, exist_ok=True)
         COMMANDS[command](config, out)
         return EXIT_OK

@@ -208,6 +208,19 @@ class TestValidation:
         assert "outcomes.sigma_fractions[1]" in err["message"]
         assert not (out / "outcomes.csv").exists()
 
+    def test_config_error_writes_error_json_to_config_out_dir(self, tmp_path, monkeypatch):
+        # without --out, a config that fails validation still names where
+        # error.json goes
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["out_dir"] = "res"
+        payload["outcomes"] = {"sigma_fractions": [1.5]}
+        cfg = write_config(tmp_path, payload)
+        monkeypatch.chdir(tmp_path)
+        assert run(cfg, "outcomes") == 2
+        err = json.loads((tmp_path / "res" / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "outcomes.sigma_fractions[0]" in err["message"]
+
     def test_lr_order_violation_is_config_error(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["f_l"]["mean"] = 5.0

@@ -15,6 +15,7 @@ from fairprice.errors import UnsupportedConfiguration, ValidationError
 from fairprice.matching import optimal_support_distance
 from fairprice.oracle import (
     AssignmentInstance,
+    _multiscale_reduced_costs,
     discretize,
     oracle_gap,
     oracle_gap_tilde,
@@ -157,8 +158,12 @@ class TestWarmStart:
             _, value = solve_assignment(AssignmentInstance(atoms, atoms, cost), cert)
             assert value == pytest.approx(brute_force_value(cost), rel=1e-12)
 
-    @pytest.mark.parametrize("k1, maximize", [(None, False), (math.nan, True)])
-    def test_non_finite_certificate_takes_the_cold_path(self, exp13, k1, maximize, monkeypatch):
+    @pytest.mark.parametrize("k1, want", [(None, [False]), (math.nan, [True, False])],
+                             ids=["finite", "nan"])
+    def test_solver_calls_follow_the_certificate(self, exp13, k1, want, monkeypatch):
+        """A finite certificate goes straight to the fine solve; a NaN one
+        takes the multiscale path: a coarse maximizing solve, then the fine
+        solve on reduced costs."""
         k = solve_kappa(exp13)
         cert = certificate_from_kappa(exp13, dataclasses.replace(k, k1=k.k1 if k1 is None else k1))
         calls = []
@@ -169,7 +174,67 @@ class TestWarmStart:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, value = solve_assignment(inst, cert)
-        assert calls == [maximize]
+        assert calls == want
+        assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
+
+
+def noisy_slice(m):
+    return MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
+
+
+class TestMultiscaleStart:
+    """Without a certificate the solve builds its own potentials on every 4th
+    atom pair; the value must not depend on them."""
+
+    @pytest.mark.parametrize("n", [50, 400])
+    @pytest.mark.parametrize("name", list(WARM_SLICES))
+    def test_value_matches_the_cold_solve(self, name, n):
+        inst = discretize(WARM_SLICES[name][0], n)
+        _, value = solve_assignment(inst)
+        assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
+                                      for n in (100, 400)] + [(3.0, 800)])
+    def test_noisy_value_matches_the_cold_solve(self, m, n):
+        inst = discretize(noisy_slice(m), n, objective="tilde")
+        _, value = solve_assignment(inst)
+        assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
+
+    def test_deterministic(self):
+        inst = discretize(noisy_slice(3.0), 400, objective="tilde")
+        p1, v1 = solve_assignment(inst)
+        p2, v2 = solve_assignment(inst)
+        assert np.array_equal(p1, p2) and v1 == v2
+
+    @pytest.mark.parametrize("kind", ["identical-marginals", "constant", "rank-one"])
+    def test_degenerate_coarse_instances(self, kind):
+        """Ties everywhere put zero-weight cycles in the coarse exchange graph,
+        where rounding can keep lowering a potential. Bellman-Ford must still
+        stop with finite potentials that certify the coarse assignment, and
+        the value must equal the cold one."""
+        n = 400
+        if kind == "identical-marginals":
+            s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(1.0))
+            inst = discretize(s, n)
+        else:
+            atoms = np.arange(1.0, n + 1.0)
+            rng = np.random.default_rng(41)
+            cost = (np.full((n, n), 0.7) if kind == "constant"
+                    else np.outer(rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)))
+            inst = AssignmentInstance(atoms, atoms, cost)
+        reduced = _multiscale_reduced_costs(inst)
+        assert np.isfinite(reduced).all()
+        scale = np.abs(inst.cost_matrix).max()
+        assert reduced.min() >= -1e-12 * scale
+        # psi up to a constant, read back on the coarse atoms: feasible with
+        # equality on the coarse optimum once Bellman-Ford has converged
+        idx = ((np.arange(n // 4) + 0.5) * 4).astype(int)
+        psi = (reduced[0] + inst.cost_matrix[0])[idx]
+        sub = inst.cost_matrix[np.ix_(idx, idx)]
+        _, sigma = linear_sum_assignment(sub, maximize=True)
+        slack = (sub[np.arange(len(idx)), sigma] - psi[sigma])[:, None] + psi - sub
+        assert slack.min() >= -1e-10 * scale
+        _, value = solve_assignment(inst)
         assert value == pytest.approx(cold_value(inst.cost_matrix), rel=1e-12)
 
 

@@ -3,8 +3,10 @@
 A slice falls into one of three regions depending on whether the low-group
 cdf at cost stays below the total variation distance between the groups, and
 on which side of the gap maximizer the cost sits. Region C1 admits a
-five-cutoff vector pinned by a one-dimensional fixed point; C2 admits a pair
-of exclusion thresholds; C2/C3 both allow full surplus extraction.
+five-cutoff vector pinned by a one-dimensional fixed point in the chord
+length h = k5 - k4 (k4 and k5 share one gap level on either side of the
+maximizer), which gives every cutoff by gap evaluations alone; C2 admits a
+pair of exclusion thresholds; C2/C3 both allow full surplus extraction.
 
 The imperfect-observation variant (noisy willingness-to-pay, uniform on
 [0, 2v]) replaces the linear value equations with quadratic-integral ones and
@@ -21,7 +23,7 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile, reflect_g_h
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import EPS, adaptive_gauss_legendre, bisect, gauss_legendre
+from .numerics import adaptive_gauss_legendre, bisect, gauss_legendre, invert_monotone
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
@@ -72,89 +74,86 @@ def classify_region(slice_: MarketSlice) -> Region:
     return Region.C2 if slice_.c < gp.v_star else Region.C3
 
 
-def _h_of(slice_: MarketSlice, v: float) -> float:
-    _, h = reflect_g_h(slice_, v)
-    return h
-
-
-def fixed_point_residual(slice_: MarketSlice, k5):
-    """Residual of the scalar equation pinning the top cutoff; vectorized.
-
-    Positive at the lower bracket end and negative at the upper one, with a
-    single sign change on the admissible interval.
-    """
-    alpha = slice_.alpha
-    c = slice_.c
-    g, h = reflect_g_h(slice_, k5)
-    inner = alpha / (1.0 - alpha) * np.asarray(h) + c
-    out = (np.asarray(delta(slice_, k5))
-           - np.asarray(delta(slice_, inner))
-           - np.asarray(slice_.f_h.cdf(alpha * np.asarray(h) + c)))
-    return out if np.asarray(out).shape else float(out)
-
-
-def _reflection_root(slice_: MarketSlice, target: float) -> float:
-    """Root of alpha * h(v) = target on the upper branch. There
-    support_lo <= g(v) <= v*, so v - v* <= h(v) <= v - support_lo and a
-    positive target's root lies in [max(v*, support_lo + target/alpha),
-    v* + target/alpha]. The lower bound is attained where the gap vanishes
-    above bounded supports (g = support_lo), so it is lowered by a few ulps
-    against rounding in h. A target <= 0 has the root v*, where h = 0."""
-    alpha = slice_.alpha
+def _chord_start(slice_: MarketSlice, h):
+    """Start g of the gap chord of length h >= 0: Delta(g + h) = Delta(g) on
+    [max(lo, v* - h), v*], where Delta(g + h) - Delta(g) falls in g. A scalar
+    h takes one Brent solve to a few ulps, an array h one vector bisection;
+    both clamp to an end where the ends differ by rounding alone (a chord
+    much shorter than the flat top of the gap)."""
     v_star = gap_profile(slice_).v_star
-    if target <= 0.0:
-        return v_star
-    hi = v_star + target / alpha
-    lo = max(v_star, slice_.support_lo + target / alpha - 8.0 * EPS * hi)
-    return bisect(lambda v: alpha * _h_of(slice_, v) - target, lo, hi)
+    lo = np.maximum(slice_.support_lo, v_star - np.asarray(h, dtype=float))
+
+    def chord(g):  # one call for both gaps: call overhead dominates a scalar gap
+        gaps = delta(slice_, np.array((g + h, g)))
+        return gaps[0] - gaps[1]
+
+    if lo.shape:
+        return invert_monotone(chord, np.zeros(lo.shape), lo, v_star, increasing=False)
+    try:
+        return bisect(chord, float(lo), v_star, xtol=0.0)
+    except NoConvergence as exc:
+        return float(lo) if exc.diagnostics["f_lo"] < 0.0 else v_star
+
+
+def fixed_point_residual(slice_: MarketSlice, h):
+    """Residual R(h) = Delta(k5) - Delta(k3) - F_h(k1) of the scalar equation
+    pinning the chord length h = k5 - k4; vectorized. Positive at the lower
+    end of kappa_bracket and negative at the upper one, with a single sign
+    change between them."""
+    alpha, c = slice_.alpha, slice_.c
+    h = np.asarray(h, dtype=float)
+    k5 = _chord_start(slice_, h) + h
+    out = (np.asarray(delta(slice_, k5))
+           - np.asarray(delta(slice_, alpha / (1.0 - alpha) * h + c))
+           - np.asarray(slice_.f_h.cdf(alpha * h + c)))
+    return out if out.shape else float(out)
 
 
 def kappa_bracket(slice_: MarketSlice):
-    """The interval [v_hat, v_tilde] on which the top-cutoff fixed point has
-    exactly one root: the upper end exhausts the low-group margin at the gap
-    maximizer, alpha * h = (1 - alpha)(v* - c); the lower end is the infimum
-    where the reflected spread covers the support floor,
-    alpha * h = (1 - alpha)(support_lo - c). Each end is one bisection on
-    its closed-form bracket (_reflection_root)."""
+    """The chord-length interval on which the fixed point has exactly one
+    root, in closed form: k3 = alpha/(1 - alpha) h + c runs from the larger
+    of the support floor and the cost (there h = 0) to the gap maximizer,
+    [max(0, (1 - alpha)(lo - c)/alpha), (1 - alpha)(v* - c)/alpha]."""
     alpha, c = slice_.alpha, slice_.c
     if not (0.0 < alpha < 1.0):
         raise UnsupportedConfiguration("cutoff system needs both groups present (0 < alpha < 1)")
     v_star = gap_profile(slice_).v_star
-    return (_reflection_root(slice_, (1.0 - alpha) * (slice_.support_lo - c)),
-            _reflection_root(slice_, (1.0 - alpha) * (v_star - c)))
+    return (max(0.0, (1.0 - alpha) * (slice_.support_lo - c) / alpha),
+            (1.0 - alpha) * (v_star - c) / alpha)
 
 
 @lru_cache(maxsize=512)
 def solve_kappa(slice_: MarketSlice) -> Kappa:
     """Solve the five-cutoff system on a C1 slice.
 
-    Constructive route: find the tilde bracket end where the reflected spread
-    exhausts the low-group margin, take the hat end from the infimum
-    condition, bisect the fixed point for k5, then read off the remaining
-    cutoffs from the system equalities.
+    Constructive route: one Brent solve for the chord length h = k5 - k4 on
+    its closed-form interval (kappa_bracket), each step placing the chord
+    of length h across the gap maximizer; then k4 = g, k5 = g + h,
+    k1 = alpha h + c and k3 = alpha/(1 - alpha) h + c, exact in h, and k2
+    from the gap level at k5.
     """
     region = classify_region(slice_)
     if region is not Region.C1:
         raise WrongRegion(f"cutoff system requires region C1, slice is {region.value}")
     alpha, c = slice_.alpha, slice_.c
-    v_hat, v_tilde = kappa_bracket(slice_)
+    h_lo, h_hi = kappa_bracket(slice_)
 
-    r_lo = fixed_point_residual(slice_, v_hat)
-    r_hi = fixed_point_residual(slice_, v_tilde)
+    r_lo = fixed_point_residual(slice_, h_lo)
+    r_hi = fixed_point_residual(slice_, h_hi)
     if r_lo < -KAPPA_TOL or r_hi > KAPPA_TOL:
         raise NoConvergence("fixed-point bracket has the wrong signs",
-                            lo=v_hat, hi=v_tilde, f_lo=r_lo, f_hi=r_hi)
+                            lo=h_lo, hi=h_hi, f_lo=r_lo, f_hi=r_hi)
     if r_lo <= 0.0:
-        k5 = v_hat  # boundary root (narrow-support configurations)
+        h = h_lo  # boundary root (narrow-support configurations)
     elif r_hi >= 0.0:
-        k5 = v_tilde
+        h = h_hi
     else:
-        k5 = bisect(lambda v: fixed_point_residual(slice_, v), v_hat, v_tilde)
+        h = bisect(lambda x: fixed_point_residual(slice_, x), h_lo, h_hi, xtol=0.0)
 
-    g5, h5 = reflect_g_h(slice_, k5)
-    k4 = g5
-    k1 = alpha * h5 + c
-    k3 = alpha / (1.0 - alpha) * h5 + c
+    k4 = _chord_start(slice_, h)
+    k5 = k4 + h
+    k1 = alpha * h + c
+    k3 = alpha / (1.0 - alpha) * h + c
     k2 = float(slice_.f_l.quantile(np.clip(delta(slice_, k5), 0.0, 1.0)))
     kappa = Kappa(k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
                   residuals=_standard_residuals(slice_, k1, k2, k3, k4, k5))

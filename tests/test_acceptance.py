@@ -72,8 +72,8 @@ def test_criterion_1_cutoff_correctness(c1_slices_25, capsys):
         assert classify_region(s).value == "C1"
         k = solve_kappa(s)
         assert k.max_residual <= 1e-8
-        v_hat, v_tilde = kappa_bracket(s)
-        res = np.asarray(fixed_point_residual(s, np.linspace(v_hat, v_tilde, 2000)))
+        h_lo, h_hi = kappa_bracket(s)
+        res = np.asarray(fixed_point_residual(s, np.linspace(h_lo, h_hi, 2000)))
         signs = np.sign(res)
         signs = signs[signs != 0]
         assert int(np.sum(signs[:-1] != signs[1:])) == 1

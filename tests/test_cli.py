@@ -238,6 +238,21 @@ class TestVerify:
         assert float(rows[0]["rel_gap"]) <= 0.01
         assert float(rows[0]["min_dual_slack"]) >= -1e-6
 
+    @pytest.mark.parametrize("eps", [3e-3, 1e-4, 1e-5, 3e-8])
+    def test_near_identical_groups_certify(self, tmp_path, eps):
+        """exp(1) vs exp(1 + eps): the total variation is about 0.37 eps and
+        the chord k5 - k4 is of that order. Solved for k5 with k1, k3 read
+        off k5 - k4, these ended in ConsistencyError (3e-3, 1e-4) or
+        NoConvergence (1e-5, 3e-8). eps = 1e-8 still fails strong duality on
+        sale flags at sub-ulp margins and is not listed."""
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["market"]["slices"][0]["f_h"]["mean"] = 1.0 + eps
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 0
+        assert run(cfg, "verify", out_dir=out, oracle_n=200) == 0
+        assert json.loads((out / "verify.json").read_text())["failures"] == []
+
     def test_tampered_cutoffs_fail_with_witness(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"

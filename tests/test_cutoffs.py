@@ -14,9 +14,8 @@ from fairprice.cutoffs import (
     solve_kappa,
     solve_kappa_tilde,
 )
-from fairprice.dist import Exponential, MarketSlice, ScaledFamily, delta, gap_profile, reflect_g_h
+from fairprice.dist import Exponential, MarketSlice, ScaledFamily, delta, gap_profile
 from fairprice.errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from fairprice.numerics import EPS
 
 
 class TestClassifyRegion:
@@ -75,14 +74,14 @@ class TestSolveKappa:
         assert k.k1 <= k.k2 <= k.k3 <= k.k4 < gap_profile(exp13).v_star < k.k5
 
     def test_top_cutoff_matches_dense_grid_search(self, exp13):
-        """Grid-search oracle: the best top cutoff on a dense scan of the
-        bracket must coincide with the bisection solution."""
+        """Grid-search oracle: the best chord length on a dense scan of the
+        bracket must coincide with the Brent solution's k5 - k4."""
         k = solve_kappa(exp13)
-        v_hat, v_tilde = kappa_bracket(exp13)
-        grid = np.linspace(v_hat, v_tilde, 20_001)
+        h_lo, h_hi = kappa_bracket(exp13)
+        grid = np.linspace(h_lo, h_hi, 20_001)
         res = np.abs(np.asarray(fixed_point_residual(exp13, grid)))
         best = grid[int(np.argmin(res))]
-        assert abs(best - k.k5) <= 2 * (v_tilde - v_hat) / 20_000
+        assert abs(best - (k.k5 - k.k4)) <= 2 * (h_hi - h_lo) / 20_000
 
     def test_scaled_family_cutoffs_linear_in_cost(self):
         k1 = np.asarray(solve_kappa(scaled12_slice(1.0)).as_tuple())
@@ -113,11 +112,48 @@ class TestSolveKappa:
 
     def test_fixed_point_root_is_unique_on_bracket(self):
         for s in random_c1_slices(20, seed=7):
-            v_hat, v_tilde = kappa_bracket(s)
-            res = np.asarray(fixed_point_residual(s, np.linspace(v_hat, v_tilde, 2000)))
+            h_lo, h_hi = kappa_bracket(s)
+            res = np.asarray(fixed_point_residual(s, np.linspace(h_lo, h_hi, 2000)))
             signs = np.sign(res)
             signs = signs[signs != 0]
             assert int(np.sum(signs[:-1] != signs[1:])) == 1
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("ratio", [1.5, 3.0, 12.0])
+    def test_cutoffs_scale_with_values(self, ratio, alpha):
+        """The model is homogeneous in the value scale. k1 and k3 are exact
+        in the chord length h, so no cancellation in k5 - k4 blurs them: a
+        value-scaled pair gives the scaled cutoffs to 1e-13 relative."""
+        def cutoffs(lam):
+            s = MarketSlice(c=0.0, alpha=alpha, f_l=Exponential(lam), f_h=Exponential(lam * ratio))
+            return np.asarray(solve_kappa(s).as_tuple())
+
+        base = cutoffs(1.0)
+        for lam in (1e-6, 1e-3, 1e3, 1e6):
+            assert np.max(np.abs(cutoffs(lam) / lam - base) / base) <= 1e-13
+
+    def test_solve_evaluates_no_gap_inverse(self, monkeypatch):
+        """The chord solve needs the gap alone: a fresh C1 slice calls no
+        gap inverse and builds no gap table."""
+        import fairprice.dist as dist
+
+        calls = []
+        real_inverse, real_table = dist.delta_inverse, dist._gap_table
+
+        def counted_inverse(*args):
+            calls.append("delta_inverse")
+            return real_inverse(*args)
+
+        def counted_table(*args):
+            calls.append("_gap_table")
+            return real_table(*args)
+
+        monkeypatch.setattr(dist, "delta_inverse", counted_inverse)
+        monkeypatch.setattr(dist, "_gap_table", counted_table)
+        s = MarketSlice(c=0.0, alpha=0.37, f_l=Exponential(1.2345), f_h=Exponential(4.321))
+        assert classify_region(s) is Region.C1
+        assert solve_kappa.__wrapped__(s).max_residual <= 1e-8
+        assert calls == []
 
     def test_monotone_comparative_statics_in_alpha(self):
         f_l, f_h = Exponential(1.0), Exponential(3.0)
@@ -147,12 +183,14 @@ class TestSolveKappa:
         assert gaps[2] <= 5e-3
 
         shrink = []
-        for a in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4):
+        # at 1 - 1e-8 the chord is too short to rise above the rounding of
+        # the gap's flat top, and its start clamps to an end of its interval
+        for a in (1 - 1e-2, 1 - 1e-3, 1 - 1e-4, 1 - 1e-8):
             s = MarketSlice(c=0.0, alpha=a, f_l=f_l, f_h=f_h)
             k = solve_kappa(s)
             assert k.k1 <= (1 - a) * gap_profile(s).v_star + 1e-12
             shrink.append(k.k5 - k.k4)
-        assert shrink[0] > shrink[1] > shrink[2]
+        assert shrink[0] > shrink[1] > shrink[2] > shrink[3]
         assert shrink[2] <= 2e-4
 
 
@@ -173,33 +211,31 @@ class TestKappaBracket:
     @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
     @pytest.mark.parametrize("family", sorted(BRACKET_FAMILIES))
     def test_ends_solve_their_equations_in_closed_form_brackets(self, family, alpha):
-        """v_hat solves alpha*h = (1-alpha)(lo - c) and v_tilde solves
-        alpha*h = (1-alpha)(v* - c). Since lo <= g <= v* on the upper branch,
-        a positive target t has its root in [max(v*, lo + t/alpha),
-        v* + t/alpha]; t <= 0 has the root v*. Both ends scale with values."""
+        """The chord-length interval is closed-form: k3 = alpha/(1-alpha) h + c
+        runs from the support floor (h = 0 where the cost lies above it) to
+        the gap maximizer. The fixed-point residual is nonnegative at the
+        lower end and nonpositive at the upper one, and both ends scale with
+        the values."""
         base = kappa_bracket(BRACKET_FAMILIES[family](alpha))
         for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             s = _value_scaled(BRACKET_FAMILIES[family](alpha), lam)
-            v_star = gap_profile(s).v_star
-            ends = kappa_bracket(s)
-            targets = ((1 - alpha) * (s.support_lo - s.c), (1 - alpha) * (v_star - s.c))
-            for v, t in zip(ends, targets):
-                if t <= 0.0:
-                    assert v == v_star
-                    continue
-                lo, hi = max(v_star, s.support_lo + t / alpha), v_star + t / alpha
-                assert lo - 16 * EPS * hi <= v <= hi
-                assert alpha * reflect_g_h(s, v)[1] == pytest.approx(t, rel=1e-10)
-            assert np.asarray(ends) / lam == pytest.approx(np.asarray(base), rel=1e-11)
+            h_lo, h_hi = kappa_bracket(s)
+            k3_lo, k3_hi = (alpha / (1 - alpha) * h + s.c for h in (h_lo, h_hi))
+            assert k3_hi == pytest.approx(gap_profile(s).v_star, rel=1e-14)
+            if s.support_lo <= s.c:
+                assert h_lo == 0.0
+            else:
+                assert k3_lo == pytest.approx(s.support_lo, rel=1e-14)
+            assert fixed_point_residual(s, h_lo) >= 0.0 >= fixed_point_residual(s, h_hi)
+            assert np.asarray((h_lo, h_hi)) / lam == pytest.approx(np.asarray(base), rel=1e-13)
 
     def test_flat_gap_at_the_lower_end(self):
-        """Above the narrow supports the gap vanishes, g is the support floor,
-        and both ends sit on their brackets' lower bounds: rounding in h put both
-        ends of an unpadded bracket on the same side of the root."""
+        """Above the narrow supports the gap vanishes, so a chord as long as
+        the lower end starts on the support floor and ends above the support."""
         s = narrow_slice(alpha=0.3)
-        v_hat, v_tilde = kappa_bracket(s)
-        assert v_hat == pytest.approx(1.0 + 0.35 / 0.3, rel=1e-14)
-        assert v_tilde == pytest.approx(1.0 + 0.7 / 0.3, rel=1e-14)
+        h_lo, h_hi = kappa_bracket(s)
+        assert h_lo == pytest.approx(0.35 / 0.3, rel=1e-14)
+        assert h_hi == pytest.approx(0.7 / 0.3, rel=1e-14)
         assert solve_kappa(s).max_residual <= 1e-8
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])

@@ -83,9 +83,8 @@ def _chord_start(slice_: MarketSlice, h):
     v_star = gap_profile(slice_).v_star
     lo = np.maximum(slice_.support_lo, v_star - np.asarray(h, dtype=float))
 
-    def chord(g):  # one call for both gaps: call overhead dominates a scalar gap
-        gaps = delta(slice_, np.array((g + h, g)))
-        return gaps[0] - gaps[1]
+    def chord(g):  # for a scalar g, two scalar gaps cost less than one 2-element array gap
+        return delta(slice_, g + h) - delta(slice_, g)
 
     if lo.shape:
         return invert_monotone(chord, np.zeros(lo.shape), lo, v_star, increasing=False)

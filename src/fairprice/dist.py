@@ -3,6 +3,10 @@
 Absolutely continuous value distributions on an interval, the gap function
 between the two group cdfs, its branch inverses, and the reflection maps used
 by the cutoff solver. All evaluation methods accept scalars or numpy arrays.
+A float (np.float64 included) takes a scalar path through cdf, pdf and the
+gap: Python arithmetic and the array path's numpy ufuncs on the float, with
+no array round trip. It gives the same bits as the array path, element for
+element; math's functions differ from numpy's loops by an ulp and are not used.
 Mixture quantiles are found by monotone Newton on the log survival function.
 Gap inverses start from a per-slice table of each branch of the gap and
 finish with safeguarded Newton steps on the density difference.
@@ -67,6 +71,36 @@ def _cap(dist: ValueDistribution) -> float:
     return float(hi) if math.isfinite(hi) else float(dist.quantile(1.0 - TAIL_MASS))
 
 
+def _values(v):
+    """A float (np.float64 included) as itself, for the scalar path; anything
+    else as a float array."""
+    return v if isinstance(v, float) else np.asarray(v, dtype=float)
+
+
+def _at_least_zero(v):
+    """max(v, 0) as np.maximum gives it (NaN kept, -0.0 read as 0.0): a
+    float stays a float, anything else becomes a float array."""
+    if isinstance(v, float):
+        return 0.0 if v <= 0.0 else v
+    return np.maximum(np.asarray(v, dtype=float), 0.0)
+
+
+def _zero_below_support(v, dens):
+    """dens where v >= 0 or v is NaN, else 0: a float for a scalar v."""
+    if isinstance(v, float):
+        return 0.0 if v < 0.0 else float(dens)
+    out = np.where(np.asarray(v) < 0.0, 0.0, dens)
+    return out if out.shape else float(out)
+
+
+def _exp_antiderivative(m, x):
+    """E[v * 1{v <= x}] of an exponential of mean m, elementwise."""
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    finite = np.isfinite(x)
+    xf = np.where(finite, x, 0.0)
+    return np.where(finite, m - (xf + m) * np.exp(-xf / m), m)
+
+
 @dataclass(frozen=True)
 class Exponential(ValueDistribution):
     mean_value: float
@@ -84,14 +118,11 @@ class Exponential(ValueDistribution):
         return math.inf
 
     def cdf(self, v):
-        v = np.asarray(v, dtype=float)
-        out = -np.expm1(-np.maximum(v, 0.0) / self.mean_value)
+        out = -np.expm1(-_at_least_zero(v) / self.mean_value)
         return out if out.shape else float(out)
 
     def pdf(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.where(v < 0.0, 0.0, np.exp(-np.maximum(v, 0.0) / self.mean_value) / self.mean_value)
-        return out if out.shape else float(out)
+        return _zero_below_support(v, np.exp(-_at_least_zero(v) / self.mean_value) / self.mean_value)
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -100,15 +131,7 @@ class Exponential(ValueDistribution):
         return out if out.shape else float(out)
 
     def partial_mean(self, a, b):
-        m = self.mean_value
-
-        def anti(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            finite = np.isfinite(x)
-            xf = np.where(finite, x, 0.0)
-            return np.where(finite, m - (xf + m) * np.exp(-xf / m), m)
-
-        out = anti(b) - anti(a)
+        out = _exp_antiderivative(self.mean_value, b) - _exp_antiderivative(self.mean_value, a)
         return out if out.shape else float(out)
 
 
@@ -138,19 +161,14 @@ class ExponentialMixture(ValueDistribution):
         return math.inf
 
     def cdf(self, v):
-        v = np.asarray(v, dtype=float)[..., None]
-        w = np.asarray(self.weights)
-        m = np.asarray(self.means)
-        out = -np.sum(w * np.expm1(-np.maximum(v, 0.0) / m), axis=-1)
+        x = _at_least_zero(v)
+        out = -sum(w * np.expm1(-x / m) for w, m in zip(self.weights, self.means))
         return out if out.shape else float(out)
 
     def pdf(self, v):
-        v = np.asarray(v, dtype=float)[..., None]
-        w = np.asarray(self.weights)
-        m = np.asarray(self.means)
-        dens = np.sum(w * np.exp(-np.maximum(v, 0.0) / m) / m, axis=-1)
-        out = np.where(np.asarray(v[..., 0]) < 0.0, 0.0, dens)
-        return out if out.shape else float(out)
+        x = _at_least_zero(v)
+        dens = sum(w * np.exp(-x / m) / m for w, m in zip(self.weights, self.means))
+        return _zero_below_support(v, dens)
 
     def _log_survival(self, x):
         """log S(x) and the hazard f(x)/S(x) at x >= 0, with S = 1 - F.
@@ -196,9 +214,9 @@ class ExponentialMixture(ValueDistribution):
         return out if out.shape else float(out)
 
     def partial_mean(self, a, b):
-        parts = [w * Exponential(m).partial_mean(a, b) for w, m in zip(self.weights, self.means)]
-        out = sum(parts)
-        return out if np.asarray(out).shape else float(out)
+        out = sum(w * (_exp_antiderivative(m, b) - _exp_antiderivative(m, a))
+                  for w, m in zip(self.weights, self.means))
+        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)
@@ -221,11 +239,10 @@ class ScaledFamily(ValueDistribution):
         return self.base.support_hi * self.scale
 
     def cdf(self, v):
-        return self.base.cdf(np.asarray(v, dtype=float) / self.scale)
+        return self.base.cdf(_values(v) / self.scale)
 
     def pdf(self, v):
-        out = np.asarray(self.base.pdf(np.asarray(v, dtype=float) / self.scale)) / self.scale
-        return out if out.shape else float(out)
+        return self.base.pdf(_values(v) / self.scale) / self.scale
 
     def quantile(self, q):
         out = np.asarray(self.base.quantile(q)) * self.scale
@@ -261,6 +278,10 @@ class PiecewiseLinearCdf(ValueDistribution):
         if vs[0] < 0:
             raise ValidationError("values must be nonnegative")
         object.__setattr__(self, "knots", knots)
+        # knot arrays and slopes: private attributes, not fields, so eq and hash stay on knots
+        object.__setattr__(self, "_vs", vs)
+        object.__setattr__(self, "_ps", ps)
+        object.__setattr__(self, "_slopes", np.diff(ps) / np.diff(vs))
 
     @property
     def support_lo(self):
@@ -270,32 +291,23 @@ class PiecewiseLinearCdf(ValueDistribution):
     def support_hi(self):
         return self.knots[-1][0]
 
-    def _arrays(self):
-        vs = np.array([k[0] for k in self.knots])
-        ps = np.array([k[1] for k in self.knots])
-        return vs, ps
-
     def cdf(self, v):
-        vs, ps = self._arrays()
-        out = np.interp(np.asarray(v, dtype=float), vs, ps, left=0.0, right=1.0)
+        out = np.interp(np.asarray(v, dtype=float), self._vs, self._ps, left=0.0, right=1.0)
         return out if out.shape else float(out)
 
     def pdf(self, v):
-        vs, ps = self._arrays()
-        slopes = np.diff(ps) / np.diff(vs)
+        vs, slopes = self._vs, self._slopes
         v = np.asarray(v, dtype=float)
         idx = np.clip(np.searchsorted(vs, v, side="right") - 1, 0, len(slopes) - 1)
         out = np.where((v < vs[0]) | (v >= vs[-1]), 0.0, slopes[idx])
         return out if out.shape else float(out)
 
     def quantile(self, q):
-        vs, ps = self._arrays()
-        out = np.interp(np.asarray(q, dtype=float), ps, vs)
+        out = np.interp(np.asarray(q, dtype=float), self._ps, self._vs)
         return out if out.shape else float(out)
 
     def partial_mean(self, a, b):
-        vs, ps = self._arrays()
-        slopes = np.diff(ps) / np.diff(vs)
+        vs, slopes = self._vs, self._slopes
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         lo = np.clip(np.maximum(a, vs[0]), vs[0], vs[-1])
@@ -406,8 +418,7 @@ def delta(slice_: MarketSlice, v):
 
 
 def _gap(f_l: ValueDistribution, f_h: ValueDistribution, v):
-    out = np.asarray(f_l.cdf(v)) - np.asarray(f_h.cdf(v))
-    return out if out.shape else float(out)
+    return f_l.cdf(v) - f_h.cdf(v)  # each cdf gives a float for a scalar v
 
 
 @lru_cache(maxsize=512)

@@ -238,13 +238,18 @@ class TestVerify:
         assert float(rows[0]["rel_gap"]) <= 0.01
         assert float(rows[0]["min_dual_slack"]) >= -1e-6
 
-    @pytest.mark.parametrize("eps", [3e-3, 1e-4, 1e-5, 3e-8])
+    @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7,
+                                     1e-7, 3e-8, 3e-9, 1e-9, 1e-10, 1e-11])
     def test_near_identical_groups_certify(self, tmp_path, eps):
         """exp(1) vs exp(1 + eps): the total variation is about 0.37 eps and
         the chord k5 - k4 is of that order. Solved for k5 with k1, k3 read
-        off k5 - k4, these ended in ConsistencyError (3e-3, 1e-4) or
-        NoConvergence (1e-5, 3e-8). eps = 1e-8 still fails strong duality on
-        sale flags at sub-ulp margins and is not listed."""
+        off k5 - k4, 3e-3 and 1e-4 ended in ConsistencyError and 1e-5 and
+        3e-8 in NoConvergence. Every eps that certifies is listed: sale flags
+        sit at sub-ulp margins here, so an ulp-level change of rounding in
+        the distributions can fail strong duality (math.expm1 in place of
+        np.expm1 for scalar cdfs fails 1e-6). eps = 1e-8 still fails it on
+        such a margin, and at 1e-12 the gap falls below the DegenerateSlice
+        threshold; neither is listed."""
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["f_h"]["mean"] = 1.0 + eps
         cfg = write_config(tmp_path, payload)

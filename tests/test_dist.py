@@ -257,6 +257,55 @@ class TestDistributionContracts:
         assert Exponential(m).gains_above(c) == pytest.approx(m * math.exp(-c / m), rel=1e-12)
 
 
+MIX3_L = ExponentialMixture(weights=(0.5, 0.3, 0.2), means=(0.5, 2.0, 6.0))
+MIX3_H = ExponentialMixture(weights=(0.1, 0.3, 0.6), means=(0.5, 2.0, 6.0))
+MIX2_L = ExponentialMixture(weights=(0.7, 0.3), means=(1.0, 4.0))
+MIX2_H = ExponentialMixture(weights=(0.2, 0.8), means=(1.0, 4.0))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _scalar_points(dist):
+    """The edge cases plus 64 interior points, where an ulp-level change of
+    rounding path (math.expm1 for np.expm1, say) would show."""
+    return [-1.0, 0.0, -0.0, dist.support_lo, dist.support_hi, dist.cap(), 1e300, math.inf,
+            math.nan, np.float64(1.25)] + np.linspace(0.0, dist.cap(), 66)[1:-1].tolist()
+
+
+def _assert_scalar_path_matches_array(fn, points):
+    """fn of each float is a float with the bits of its element of fn(array)."""
+    batch = fn(np.array(points, dtype=float))
+    for x, want in zip(points, batch):
+        got = fn(x)
+        assert type(got) is float, (x, type(got))
+        assert _bits(got) == _bits(want), (x, got, want)
+
+
+@pytest.mark.parametrize("dist", all_families() + [MIX3_L, ScaledFamily(MIX2_L, 2.5)],
+                         ids=lambda d: type(d).__name__)
+def test_scalar_cdf_and_pdf_give_the_array_bits(dist):
+    """A float takes the scalar path: same bits, NaN and signed zeros included."""
+    for fn in (dist.cdf, dist.pdf):
+        _assert_scalar_path_matches_array(fn, _scalar_points(dist))
+
+
+@pytest.mark.parametrize("f_l, f_h", [
+    (Exponential(1.0), Exponential(3.0)),
+    (MIX2_L, MIX2_H),
+    (MIX3_L, MIX3_H),
+    (ScaledFamily(Exponential(1.0), 1.7), ScaledFamily(Exponential(3.0), 1.7)),
+    (ScaledFamily(MIX2_L, 2.5), ScaledFamily(MIX2_H, 2.5)),
+    (PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 1.0))),
+     PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))),
+], ids=["exp", "mixture", "mixture3", "scaled", "scaled-mixture", "piecewise"])
+def test_scalar_gap_gives_the_array_bits(f_l, f_h):
+    s = MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
+    points = _scalar_points(f_l) + [s.cap(), gap_profile(s).v_star]
+    _assert_scalar_path_matches_array(lambda v: delta(s, v), points)
+
+
 class TestScaledFamily:
     def test_cdf_is_base_at_rescaled_argument(self):
         base = Exponential(3.0)

@@ -19,7 +19,6 @@ from .dist import (
     delta,
     delta_inverse,
     gap_profile,
-    reflect_g_h,
 )
 from .duality import (
     DualCertificate,

@@ -192,6 +192,8 @@ class ExperimentConfig:
                 raise ValidationError(f"outcomes.sigma_fractions[{i}] must lie in [0, 1], got {frac!r}")
         self.outcome_atoms = _number(raw.get("outcomes", {}).get("n_atoms", 10_000),
                                      "outcomes.n_atoms", int)
+        if not (10 <= self.outcome_atoms <= 10**6):
+            raise ValidationError(f"outcomes.n_atoms must lie in [10, 1000000], got {self.outcome_atoms}")
 
 
 def _pool_size() -> int:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dist import MarketSlice, delta, gap_profile, reflect_g_h
+from .dist import MarketSlice, delta, gap_profile
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
 from .numerics import adaptive_gauss_legendre, bisect, gauss_legendre, invert_monotone
 
@@ -149,11 +149,9 @@ def solve_kappa(slice_: MarketSlice) -> Kappa:
     else:
         h = bisect(lambda x: fixed_point_residual(slice_, x), h_lo, h_hi, xtol=0.0)
 
-    k4 = _chord_start(slice_, h)
-    k5 = k4 + h
+    k2, k4, k5, _ = _chord_cutoffs(slice_, h)
     k1 = alpha * h + c
     k3 = alpha / (1.0 - alpha) * h + c
-    k2 = float(slice_.f_l.quantile(np.clip(delta(slice_, k5), 0.0, 1.0)))
     kappa = Kappa(k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
                   residuals=_standard_residuals(slice_, k1, k2, k3, k4, k5))
     if not kappa.max_residual <= KAPPA_TOL:
@@ -162,15 +160,30 @@ def solve_kappa(slice_: MarketSlice) -> Kappa:
     return kappa
 
 
+def _chord_cutoffs(slice_: MarketSlice, h: float):
+    """The cutoffs that a chord length h fixes in the five-cutoff layout:
+    k2 = F_l^{-1}(Delta(k5)), k4 = g and k5 = g + h at one gap level across
+    the maximizer, and that level Delta(k5)."""
+    k4 = _chord_start(slice_, h)
+    k5 = k4 + h
+    d5 = float(delta(slice_, k5))
+    return float(slice_.f_l.quantile(np.clip(d5, 0.0, 1.0))), k4, k5, d5
+
+
 def _standard_residuals(slice_, k1, k2, k3, k4, k5):
-    fl_k2 = float(slice_.f_l.cdf(k2))
     alpha, c = slice_.alpha, slice_.c
+    return _gap_residuals(slice_, k1, k2, k3, k4, k5) + (
+        (k1 - c) - (1.0 - alpha) * (k3 - c), (k1 - c) - alpha * (k5 - k4))
+
+
+def _gap_residuals(slice_: MarketSlice, k1, k2, k3, k4, k5):
+    """The three gap-level equalities of the five-cutoff layout:
+    F_l(k2) = Delta(k3) + F_h(k1) = Delta(k4) = Delta(k5)."""
+    fl_k2 = float(slice_.f_l.cdf(k2))
     return (
         fl_k2 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1)),
         fl_k2 - float(delta(slice_, k4)),
         fl_k2 - float(delta(slice_, k5)),
-        (k1 - c) - (1.0 - alpha) * (k3 - c),
-        (k1 - c) - alpha * (k5 - k4),
     )
 
 
@@ -210,22 +223,20 @@ def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float,
     return quad(_tilde_integrand(slice_, shift), a, b, split=kink)
 
 
-def _tilde_band(slice_: MarketSlice, k5: float):
-    """Given a candidate top cutoff, return (k2, k4, d5, harmonic, middle) or
-    report why the middle equation has no usable root: 'small' below the band
-    of such cutoffs (the right integral is too small), 'large' above it (the
-    k3 root would pass the gap maximizer).
+def _tilde_band(slice_: MarketSlice, h: float):
+    """Given a candidate chord length h, with k2, k4 and k5 from _chord_cutoffs,
+    return (k2, k4, k5, d5, harmonic, middle) or report why the middle
+    equation has no usable root: 'small' below the band of such lengths (the
+    right integral is too small), 'large' above it (the k3 root would pass
+    the gap maximizer).
 
     The harmonic level is pinned by continuity of the low-side dual at the
-    top cutoff: harmonic = (right integral) - (k5 - k4)/4. The right integrand
-    stays above 1/4 on [k4, k5], so the level is nonnegative.
+    top cutoff: harmonic = (right integral) - h/4. The right integrand stays
+    above 1/4 on [k4, k5], so the level is nonnegative.
     """
     gp = gap_profile(slice_)
-    k4, _ = reflect_g_h(slice_, k5)
-    d5 = float(delta(slice_, k5))
-    k2 = float(slice_.f_l.quantile(min(d5, 1.0)))
-
-    harmonic = _tilde_integral(slice_, d5, k4, k5) - (k5 - k4) / 4.0
+    k2, k4, k5, d5 = _chord_cutoffs(slice_, h)
+    harmonic = _tilde_integral(slice_, d5, k4, k5) - h / 4.0
 
     def middle(k3):
         return k3 / 4.0 - _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3) - harmonic
@@ -234,7 +245,7 @@ def _tilde_band(slice_: MarketSlice, k5: float):
         return "small"
     if middle(gp.v_star) < 0.0 or harmonic >= k2:
         return "large"
-    return k2, k4, d5, harmonic, middle
+    return k2, k4, k5, d5, harmonic, middle
 
 
 @lru_cache(maxsize=128)
@@ -242,14 +253,17 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     """Cutoffs for the noisy-value variant (values uniform on [0, 2v]),
     solved for the c = 0, alpha = 1/2 specialization only.
 
-    Brent's method solves the outer residual for k5 on [v*, cap]. Each
-    evaluation solves the middle quadratic-integral equation for k3, reads
-    k1 from the harmonic identity, and scores the remaining quantile
-    equality. Off the band of k5 on which the middle equation is solvable,
-    the outer function is +1 below and -1 above; inside, the residual falls
-    through zero, so [v*, cap] brackets one sign change. The solve loop
-    integrates with the fixed Gauss-Legendre rule; the residuals reported
-    and checked are recomputed by its adaptive composite, which is relative.
+    Brent's method solves the outer residual for the chord length h = k5 - k4
+    on [0, cap - lo] (lo the support floor), reading k2, k4 and k5 from h as
+    solve_kappa does. Each evaluation solves the middle quadratic-integral
+    equation for k3, reads k1 from the harmonic identity, and scores the
+    remaining gap-level equality. Off the band of h on which the middle
+    equation is solvable, the outer function is +1 below (h = 0 gives
+    k4 = k5 = v*) and -1 above (h = cap - lo puts k5 at or beyond the cap);
+    inside, the residual falls through zero, so the interval brackets one
+    sign change. The solve loop integrates with the fixed Gauss-Legendre
+    rule; the residuals reported and checked are recomputed by its adaptive
+    composite, which is relative.
     """
     if abs(slice_.c) > 1e-12 or abs(slice_.alpha - 0.5) > 1e-12:
         raise UnsupportedConfiguration(
@@ -258,35 +272,30 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         raise WrongRegion("noisy-value cutoffs require region C1")
     gp = gap_profile(slice_)
 
-    def outer(k5):
-        """(k1..k4) and the outer residual; a point off the band gets its
+    def outer(h):
+        """(k1..k5) and the outer residual; a point off the band gets its
         side's sign ('small' positive, 'large' negative)."""
-        band = _tilde_band(slice_, k5)
+        band = _tilde_band(slice_, h)
         if isinstance(band, str):
             return None, 1.0 if band == "small" else -1.0
-        k2, k4, d5, harmonic, middle = band
+        k2, k4, k5, d5, harmonic, middle = band
         k3 = bisect(middle, k2, gp.v_star)
         k1 = harmonic * k2 / (k2 - harmonic)
-        return (k1, k2, k3, k4), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
+        return (k1, k2, k3, k4, k5), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
 
-    # xtol=0.0: the default stop scales with the cap, not with k5
-    k5 = bisect(lambda v: outer(v)[1], gp.v_star * (1.0 + 1e-9), slice_.cap(), xtol=0.0)
-    sol, _ = outer(k5)
+    # xtol=0.0: the default stop scales with the cap, not with h
+    h = bisect(lambda x: outer(x)[1], 0.0, slice_.cap() - slice_.support_lo, xtol=0.0)
+    sol, _ = outer(h)
     if sol is None:
-        raise NoConvergence("outer root collapsed onto an infeasible point", k5=k5)
-    k1, k2, k3, k4 = sol
+        raise NoConvergence("outer root collapsed onto an infeasible point", h=h)
+    k1, k2, k3, k4, k5 = sol
 
-    d3 = float(delta(slice_, k3))
-    d5 = float(delta(slice_, k5))
-    inner = _tilde_integral(slice_, d3, k2, k3, adaptive_gauss_legendre)
-    right = _tilde_integral(slice_, d5, k4, k5, adaptive_gauss_legendre)
+    inner = _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3, adaptive_gauss_legendre)
+    right = _tilde_integral(slice_, float(delta(slice_, k5)), k4, k5, adaptive_gauss_legendre)
     harmonic = k1 * k2 / (k1 + k2)
     kappa = Kappa(
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
-        residuals=(
-            float(slice_.f_l.cdf(k2)) - d3 - float(slice_.f_h.cdf(k1)),
-            float(slice_.f_l.cdf(k2)) - float(delta(slice_, k4)),
-            float(slice_.f_l.cdf(k2)) - d5,
+        residuals=_gap_residuals(slice_, k1, k2, k3, k4, k5) + (
             harmonic - (k3 / 4.0 - inner),
             harmonic - (right - (k5 - k4) / 4.0),
         ),

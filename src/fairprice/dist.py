@@ -1,8 +1,8 @@
 """Distribution toolkit for two-group markets.
 
 Absolutely continuous value distributions on an interval, the gap function
-between the two group cdfs, its branch inverses, and the reflection maps used
-by the cutoff solver. All evaluation methods accept scalars or numpy arrays.
+between the two group cdfs, and its branch inverses. All evaluation methods
+accept scalars or numpy arrays.
 A float (np.float64 included) takes a scalar path through cdf, pdf and the
 gap: Python arithmetic and the array path's numpy ufuncs on the float, with
 no array round trip. It gives the same bits as the array path, element for
@@ -391,10 +391,10 @@ def _check_common_support(f_l: ValueDistribution, f_h: ValueDistribution) -> Non
         raise ValidationError("group distributions must share a support interval (upper ends differ)")
 
 
-def _check_likelihood_ratio_order(f_l, f_h, n: int = GRID_POINTS, tol: float = 1e-9) -> None:
+def _check_likelihood_ratio_order(f_l, f_h) -> None:
     lo = f_l.support_lo
     hi = max(f_l.cap(), f_h.cap())
-    v = np.linspace(lo, hi, n)[1:-1]
+    v = np.linspace(lo, hi, GRID_POINTS)[1:-1]
     dl = np.asarray(f_l.pdf(v))
     dh = np.asarray(f_h.pdf(v))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -407,7 +407,7 @@ def _check_likelihood_ratio_order(f_l, f_h, n: int = GRID_POINTS, tol: float = 1
             raise ValidationError("likelihood-ratio order violated: low-group density vanishes internally")
         ratio = ratio[:first_inf]
     scale = np.maximum(np.abs(ratio[:-1]), 1.0)
-    if np.any(np.diff(ratio) < -tol * scale):
+    if np.any(np.diff(ratio) < -1e-9 * scale):
         raise ValidationError("likelihood-ratio order violated: density ratio decreases on the support grid")
 
 
@@ -508,18 +508,3 @@ def delta_inverse(slice_: MarketSlice, q, branch: str):
         increasing=branch == "lower", x0=n0 + w * (n1 - n0),
         fprime=lambda v: np.asarray(slice_.f_l.pdf(v)) - np.asarray(slice_.f_h.pdf(v)))
     return out if np.asarray(out).shape else float(out)
-
-
-def reflect_g_h(slice_: MarketSlice, v):
-    """Reflection across the gap maximizer: g matches the gap level on the
-    lower branch, h = v - g. h is nonnegative and nondecreasing on the upper
-    branch."""
-    gp = gap_profile(slice_)
-    v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < gp.v_star - 1e-9):
-        raise OutOfRange(f"reflection defined for v >= {gp.v_star!r}")
-    g = delta_inverse(slice_, delta(slice_, v_arr), "lower")
-    h = np.maximum(v_arr - g, 0.0)
-    if np.asarray(g).shape:
-        return g, h
-    return float(g), float(h)

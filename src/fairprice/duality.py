@@ -151,10 +151,10 @@ def check_complementary_slackness(cert: DualCertificate, coupling: Coupling) -> 
     return float(np.max(np.abs(gap)))
 
 
-def dual_value(cert: DualCertificate, slice_: MarketSlice | None = None) -> float:
+def dual_value(cert: DualCertificate) -> float:
     """Value of the dual objective: integral of phi against the low marginal
     plus psi against the high one, via exact partial moments."""
-    s = slice_ if slice_ is not None else cert.slice
+    s = cert.slice
     lo = s.support_lo
     return (cert.phi.branch_integral(s.f_l, lo, math.inf)
             + cert.psi.branch_integral(s.f_h, lo, math.inf))

@@ -29,7 +29,7 @@ QUAD_RTOL = 1e-13
 EPS = float(np.finfo(float).eps)
 
 
-def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_ITER) -> float:
+def bisect(f, lo: float, hi: float, *, xtol: float = XTOL) -> float:
     """Root of f on [lo, hi] by Brent's method; f(lo) and f(hi) must not have
     the same strict sign. Stops once the bracket is xtol * min(1, max(|lo|,
     |hi|)) wide (plus a few ulps of the root), so the tolerance is relative
@@ -47,7 +47,7 @@ def bisect(f, lo: float, hi: float, *, xtol: float = XTOL, max_iter: int = MAX_I
                             lo=lo, hi=hi, f_lo=fa, f_hi=fb)
     c, fc = b, fb
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if (fb > 0) == (fc > 0):  # keep the root between b and c
             c, fc = a, fa
             d = e = b - a

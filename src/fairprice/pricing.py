@@ -316,10 +316,14 @@ class PriceDistribution:
     atoms: tuple
 
     def cdf(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        pieces = [(seg.v_lo, seg.v_hi, seg) for seg in self.rule.segments_for(self.theta)]
-        out = np.clip(_pushforward(self.rule.slice, self.theta, pieces, x_arr), 0.0, 1.0)
+        out = _rule_price_cdf(self.rule, self.theta, np.atleast_1d(np.asarray(x, dtype=float)))
         return out if np.asarray(x).shape else float(out[0])
+
+
+def _rule_price_cdf(rule: PricingRule, theta: str, x: np.ndarray) -> np.ndarray:
+    """The theta-group price cdf at the prices x, summed over its segments."""
+    pieces = [(seg.v_lo, seg.v_hi, seg) for seg in rule.segments_for(theta)]
+    return np.clip(_pushforward(rule.slice, theta, pieces, x), 0.0, 1.0)
 
 
 def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray) -> np.ndarray:
@@ -371,10 +375,8 @@ def _price_grid(rule: PricingRule, slice_: MarketSlice, n: int = PRICE_GRID) -> 
 def check_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:
     """Supremum over a refined price grid of the gap between the two groups'
     price cdfs; a rule passes when the gap is at most 1e-6."""
-    pd_l = price_cdf(rule, slice_, "l")
-    pd_h = price_cdf(rule, slice_, "h")
     grid = _price_grid(rule, slice_)
-    return float(np.max(np.abs(pd_l.cdf(grid) - pd_h.cdf(grid))))
+    return float(np.max(np.abs(_rule_price_cdf(rule, "l", grid) - _rule_price_cdf(rule, "h", grid))))
 
 
 def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):

@@ -104,6 +104,16 @@ class TestValidation:
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert run(cfg, "verify", out_dir=tmp_path / "out", oracle_n=7) == 2
 
+    @pytest.mark.parametrize("n_atoms", [5, 10**12])
+    def test_n_atoms_bounds(self, tmp_path, n_atoms):
+        """outcomes.n_atoms is checked at config load for every command, so
+        a count too large to allocate fails before any coupling is built."""
+        payload = {**BASE_CONFIG, "outcomes": {"n_atoms": n_atoms}}
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, payload), "solve", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["exit_code"], err["error"]) == (2, "ValidationError")
+
     @pytest.mark.parametrize("override", [{"oracle_n": "x"}], ids=["oracle-n"])
     def test_non_numeric_override_is_config_error(self, tmp_path, override):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -132,8 +132,11 @@ class TestSolveKappa:
         for lam in (1e-6, 1e-3, 1e3, 1e6):
             assert np.max(np.abs(cutoffs(lam) / lam - base) / base) <= 1e-13
 
-    def test_solve_evaluates_no_gap_inverse(self, monkeypatch):
-        """The chord solve needs the gap alone: a fresh C1 slice calls no
+    @pytest.mark.parametrize("solve, alpha, tol", [(solve_kappa, 0.37, 1e-8),
+                                                    (solve_kappa_tilde, 0.5, 1e-7)],
+                             ids=["standard", "noisy-value"])
+    def test_solve_evaluates_no_gap_inverse(self, solve, alpha, tol, monkeypatch):
+        """Both chord solves need the gap alone: a fresh C1 slice calls no
         gap inverse and builds no gap table."""
         import fairprice.dist as dist
 
@@ -150,9 +153,9 @@ class TestSolveKappa:
 
         monkeypatch.setattr(dist, "delta_inverse", counted_inverse)
         monkeypatch.setattr(dist, "_gap_table", counted_table)
-        s = MarketSlice(c=0.0, alpha=0.37, f_l=Exponential(1.2345), f_h=Exponential(4.321))
+        s = MarketSlice(c=0.0, alpha=alpha, f_l=Exponential(1.2345), f_h=Exponential(4.321))
         assert classify_region(s) is Region.C1
-        assert solve_kappa.__wrapped__(s).max_residual <= 1e-8
+        assert solve.__wrapped__(s).max_residual <= tol
         assert calls == []
 
     def test_monotone_comparative_statics_in_alpha(self):
@@ -336,8 +339,9 @@ class TestSolveKappaTilde:
 
     @pytest.mark.parametrize("m", [2.0, 3.0, 5.0])
     def test_outer_solve_needs_no_band_search(self, m, monkeypatch):
-        """One Brent solve on [v*, cap]: a walk up from v* to bracket the
-        band of solvable top cutoffs made 36-41 band evaluations here."""
+        """One Brent solve in the chord length h on [0, cap - lo]: a walk up
+        from v* to bracket the band of solvable top cutoffs made 36-41 band
+        evaluations here."""
         import fairprice.cutoffs as cutoffs
 
         calls = []

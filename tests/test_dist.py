@@ -19,7 +19,6 @@ from fairprice.dist import (
     delta,
     delta_inverse,
     gap_profile,
-    reflect_g_h,
 )
 from fairprice.errors import DegenerateSlice, OutOfRange, ValidationError
 from fairprice.numerics import EPS, invert_monotone
@@ -182,34 +181,6 @@ class TestDeltaInverse:
     def test_rejects_unknown_branch(self, exp13):
         with pytest.raises(ValidationError):
             delta_inverse(exp13, 0.1, "middle")
-
-
-class TestReflection:
-    def test_fixed_point_at_maximizer(self, exp13):
-        gp = gap_profile(exp13)
-        g, h = reflect_g_h(exp13, gp.v_star)
-        assert g == pytest.approx(gp.v_star, abs=1e-6)
-        assert h == pytest.approx(0.0, abs=1e-6)
-
-    def test_agrees_with_branch_inverse(self, exp13):
-        g, h = reflect_g_h(exp13, 3.0)
-        assert g == pytest.approx(delta_inverse(exp13, delta(exp13, 3.0), "lower"), abs=1e-9)
-        assert h == pytest.approx(3.0 - g, abs=1e-12)
-
-    def test_far_tail_reflects_to_floor(self, exp13):
-        far = float(exp13.f_h.quantile(1.0 - 1e-9))
-        g, _ = reflect_g_h(exp13, far)
-        assert g <= 1e-5
-
-    def test_rejects_below_maximizer(self, exp13):
-        with pytest.raises(OutOfRange):
-            reflect_g_h(exp13, 1.0)
-
-    def test_spread_nondecreasing(self, exp13):
-        gp = gap_profile(exp13)
-        vs = np.linspace(gp.v_star, 15.0, 200)
-        _, h = reflect_g_h(exp13, vs)
-        assert np.all(np.diff(h) >= -1e-9)
 
 
 class TestDistributionContracts:

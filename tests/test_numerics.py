@@ -160,15 +160,17 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("m", [2.0, 3.5, 5.0])
     def test_matches_scipy_quad_on_noisy_value_integrand(self, m):
         """The solve-loop integrals of the noisy-value cutoffs, the right one
-        on [k4, k5] and the middle one on [k2, k3], for top cutoffs across the
-        band on which the middle equation is solvable; QUADPACK's adaptive
-        Gauss-Kronrod, split at the same kink, is the reference."""
+        on [k4, k5] and the middle one on [k2, k3], for chord lengths
+        h = k5 - k4 across the band on which the middle equation is solvable;
+        QUADPACK's adaptive Gauss-Kronrod, split at the same kink, is the
+        reference. k5 >= h, so the h grid reaches every top cutoff in
+        [v*, 2 v* + 2]."""
         s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
         v_star = gap_profile(s).v_star
-        band = [(k5, b) for k5 in np.linspace(v_star, 2.0 * v_star + 2.0, 201)
-                if not isinstance(b := _tilde_band(s, k5), str)]
+        band = [b for h in np.linspace(0.0, 2.0 * v_star + 2.0, 201)
+                if not isinstance(b := _tilde_band(s, h), str)]
         assert len(band) >= 10
-        for k5, (k2, k4, d5, _, _) in band[::3]:
+        for k2, k4, k5, d5, _, _ in band[::3]:
             cases = [(d5, k4, k5)]
             cases += [(float(delta(s, k3)), k2, k3) for k3 in np.linspace(k2, v_star, 4)[1:]]
             for shift, a, b in cases:

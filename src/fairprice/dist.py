@@ -3,10 +3,14 @@
 Absolutely continuous value distributions on an interval, the gap function
 between the two group cdfs, and its branch inverses. All evaluation methods
 accept scalars or numpy arrays.
-A float (np.float64 included) takes a scalar path through cdf, pdf and the
-gap: Python arithmetic and the array path's numpy ufuncs on the float, with
-no array round trip. It gives the same bits as the array path, element for
-element; math's functions differ from numpy's loops by an ulp and are not used.
+A float (np.float64 included) takes a scalar path through cdf, pdf,
+quantile and partial_mean (so gains_above) of the exponential, mixture and
+cost-scaled families, and through the gap and its branch inverse: Python
+arithmetic and the array path's numpy ufuncs on the float, with no array
+round trip, and the Newton iterations of the mixture quantile and the gap
+inverse run on floats step for step. It gives the same bits as the array
+path, element for element; math's functions differ from numpy's loops by an
+ulp and are not used.
 Mixture quantiles are found by monotone Newton on the log survival function.
 Gap inverses start from a per-slice table of each branch of the gap and
 finish with safeguarded Newton steps on the density difference.
@@ -93,8 +97,17 @@ def _zero_below_support(v, dens):
     return out if out.shape else float(out)
 
 
+def _float_or_array(out):
+    """A result with a shape as itself, any scalar one as a float."""
+    return out if isinstance(out, np.ndarray) and out.shape else float(out)
+
+
 def _exp_antiderivative(m, x):
-    """E[v * 1{v <= x}] of an exponential of mean m, elementwise."""
+    """E[v * 1{v <= x}] of an exponential of mean m, elementwise; a float for
+    a float x. x <= 0 reads as 0, and x = inf or NaN gives m."""
+    if isinstance(x, float):
+        x = _at_least_zero(x)
+        return m - (x + m) * float(np.exp(-x / m)) if x < math.inf else m
     x = np.maximum(np.asarray(x, dtype=float), 0.0)
     finite = np.isfinite(x)
     xf = np.where(finite, x, 0.0)
@@ -125,6 +138,8 @@ class Exponential(ValueDistribution):
         return _zero_below_support(v, np.exp(-_at_least_zero(v) / self.mean_value) / self.mean_value)
 
     def quantile(self, q):
+        if isinstance(q, float):  # inf at q = 1, where the array path silences log1p's divide flag
+            return math.inf if q == 1.0 else float(-self.mean_value * np.log1p(-q))
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):
             out = -self.mean_value * np.log1p(-q)
@@ -132,7 +147,7 @@ class Exponential(ValueDistribution):
 
     def partial_mean(self, a, b):
         out = _exp_antiderivative(self.mean_value, b) - _exp_antiderivative(self.mean_value, a)
-        return out if out.shape else float(out)
+        return _float_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -182,7 +197,10 @@ class ExponentialMixture(ValueDistribution):
         top = reduce(np.maximum, logs)
         scaled = [np.exp(la - top) for la in logs]
         mass = sum(scaled)
-        log_s = np.where(f < 0.5, np.log1p(-np.minimum(f, 0.5)), top + np.log(mass))
+        if isinstance(x, float):
+            log_s = np.log1p(-f) if f < 0.5 else top + np.log(mass)
+        else:
+            log_s = np.where(f < 0.5, np.log1p(-np.minimum(f, 0.5)), top + np.log(mass))
         hazard = sum(e / m for e, m in zip(scaled, self.means)) / mass
         return log_s, hazard
 
@@ -194,6 +212,8 @@ class ExponentialMixture(ValueDistribution):
         step is non-positive or at most 4 eps * x (rounding noise in log S),
         and stays frozen while the others finish. q <= 0 gives 0; q >= 1 is
         read as 1 - 1e-16, so the result is finite for any level but NaN."""
+        if isinstance(q, float):
+            return self._quantile_of_float(q)
         q = np.asarray(q, dtype=float)
         target = np.log1p(-np.minimum(q, 1.0 - 1e-16)).ravel()
         x = np.where(q.ravel() <= 0.0, 0.0, -min(self.means) * target)
@@ -213,10 +233,27 @@ class ExponentialMixture(ValueDistribution):
         out = x.reshape(q.shape)
         return out if out.shape else float(out)
 
+    def _quantile_of_float(self, q):
+        """quantile's Newton for one float level, step for step on floats."""
+        top = 1.0 - 1e-16
+        target = float(np.log1p(-(top if q > top else q)))  # np.minimum's clip: NaN kept
+        x = 0.0 if q <= 0.0 else -min(self.means) * target
+        live = x > 0.0
+        for _ in range(MAX_ITER):
+            if not live:
+                break
+            log_s, hazard = self._log_survival(x)
+            step = float((log_s - target) / hazard)
+            live = step > 4.0 * EPS * x
+            if live:
+                x = x + step
+        if live:
+            raise NoConvergence("mixture quantile Newton hit the iteration cap", level=q, max_iter=MAX_ITER)
+        return x
+
     def partial_mean(self, a, b):
-        out = sum(w * (_exp_antiderivative(m, b) - _exp_antiderivative(m, a))
-                  for w, m in zip(self.weights, self.means))
-        return out if out.shape else float(out)
+        return _float_or_array(sum(w * (_exp_antiderivative(m, b) - _exp_antiderivative(m, a))
+                                   for w, m in zip(self.weights, self.means)))
 
 
 @dataclass(frozen=True)
@@ -245,10 +282,14 @@ class ScaledFamily(ValueDistribution):
         return self.base.pdf(_values(v) / self.scale) / self.scale
 
     def quantile(self, q):
+        if isinstance(q, float):
+            return self.base.quantile(q) * self.scale
         out = np.asarray(self.base.quantile(q)) * self.scale
         return out if out.shape else float(out)
 
     def partial_mean(self, a, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return self.base.partial_mean(a / self.scale, b / self.scale) * self.scale
         a = np.asarray(a, dtype=float) / self.scale
         b = np.asarray(b, dtype=float) / self.scale
         out = np.asarray(self.base.partial_mean(a, b)) * self.scale
@@ -391,7 +432,11 @@ def _check_common_support(f_l: ValueDistribution, f_h: ValueDistribution) -> Non
         raise ValidationError("group distributions must share a support interval (upper ends differ)")
 
 
+@lru_cache(maxsize=128)
 def _check_likelihood_ratio_order(f_l, f_h) -> None:
+    """Raise ValidationError unless f_h / f_l is nondecreasing on the grid.
+    A pair that passes is cached (slices that share it skip the grid); a
+    pair that fails raises on every call, since lru_cache keeps no exception."""
     lo = f_l.support_lo
     hi = max(f_l.cap(), f_h.cap())
     v = np.linspace(lo, hi, GRID_POINTS)[1:-1]
@@ -483,28 +528,40 @@ def delta_inverse(slice_: MarketSlice, q, branch: str):
     for any admissible q.
     """
     gp = gap_profile(slice_)
-    q_arr = np.asarray(q, dtype=float)
-    if np.any(q_arr > gp.tv + 1e-12):
-        raise OutOfRange(f"gap level {np.max(q_arr)!r} exceeds the total variation {gp.tv!r}")
-    if np.any(q_arr < -1e-12):
+    scalar = isinstance(q, float)
+    if scalar:
+        high, low = q > gp.tv + 1e-12, q < -1e-12
+    else:
+        q = np.asarray(q, dtype=float)
+        high, low = np.any(q > gp.tv + 1e-12), np.any(q < -1e-12)
+    if high:
+        raise OutOfRange(f"gap level {float(np.max(q))!r} exceeds the total variation {gp.tv!r}")
+    if low:
         raise OutOfRange("gap level must be nonnegative")
     if branch not in ("lower", "upper"):
         raise ValidationError(f"branch must be 'lower' or 'upper', got {branch!r}")
-    q_arr = np.clip(q_arr, 0.0, gp.tv)
     nodes, levels = _gap_table(slice_.f_l, slice_.f_h, branch)
-    i = np.clip(np.searchsorted(levels, q_arr, side="right") - 1, 0, GAP_TABLE_POINTS - 2)
-    l0, l1 = levels[i], levels[i + 1]
-    w = np.clip(np.divide(q_arr - l0, l1 - l0, out=np.zeros(q_arr.shape), where=l1 > l0), 0.0, 1.0)
-    w = np.where(i == GAP_TABLE_POINTS - 2, 1.0 - np.sqrt(1.0 - w), w)
-    n0, n1 = nodes[i], nodes[i + 1]
+    if scalar:  # the array lines below on floats; min(max(.)) is np.clip's, NaN and -0.0 kept
+        q = min(max(q, 0.0), gp.tv)
+        i = min(max(int(np.searchsorted(levels, q, side="right")) - 1, 0), GAP_TABLE_POINTS - 2)
+        l0, l1 = float(levels[i]), float(levels[i + 1])
+        w = min(max((q - l0) / (l1 - l0), 0.0), 1.0) if l1 > l0 else 0.0
+        if i == GAP_TABLE_POINTS - 2:
+            w = 1.0 - math.sqrt(1.0 - w)
+        n0, n1 = float(nodes[i]), float(nodes[i + 1])
+        lo, hi = n0 if n0 < n1 else n1, n0 if n0 > n1 else n1
+    else:
+        q = np.clip(q, 0.0, gp.tv)
+        i = np.clip(np.searchsorted(levels, q, side="right") - 1, 0, GAP_TABLE_POINTS - 2)
+        l0, l1 = levels[i], levels[i + 1]
+        w = np.clip(np.divide(q - l0, l1 - l0, out=np.zeros(q.shape), where=l1 > l0), 0.0, 1.0)
+        w = np.where(i == GAP_TABLE_POINTS - 2, 1.0 - np.sqrt(1.0 - w), w)
+        n0, n1 = nodes[i], nodes[i + 1]
+        lo, hi = np.minimum(n0, n1), np.maximum(n0, n1)
 
     def gap_and_floor(v):
-        fl = np.asarray(slice_.f_l.cdf(v))
-        fh = np.asarray(slice_.f_h.cdf(v))
+        fl, fh = slice_.f_l.cdf(v), slice_.f_h.cdf(v)
         return fl - fh, 4.0 * EPS * np.maximum(fl, fh)
 
-    out = invert_monotone(
-        gap_and_floor, q_arr, np.minimum(n0, n1), np.maximum(n0, n1),
-        increasing=branch == "lower", x0=n0 + w * (n1 - n0),
-        fprime=lambda v: np.asarray(slice_.f_l.pdf(v)) - np.asarray(slice_.f_h.pdf(v)))
-    return out if np.asarray(out).shape else float(out)
+    return invert_monotone(gap_and_floor, q, lo, hi, increasing=branch == "lower", x0=n0 + w * (n1 - n0),
+                           fprime=lambda v: slice_.f_l.pdf(v) - slice_.f_h.pdf(v))

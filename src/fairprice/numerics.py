@@ -8,14 +8,17 @@ use Brent's method (tolerance 1e-12 on the argument, relative below unit
 scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
 until every bracket is two adjacent floats; given a derivative, it takes
 safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), each
-element from its own start and bracket. Quadrature is one 32-node
-Gauss-Legendre rule: fixed inside solve loops, or adaptive (each panel
-against its two halves, to a relative tolerance, with a cap on pending
-panels) where a result is reported.
+element from its own start and bracket. A float target, bracket and start
+take the same Newton steps on floats, with no array round trip and the
+array path's bits. Quadrature is one 32-node Gauss-Legendre rule: fixed
+inside solve loops, or adaptive (each panel against its two halves, to a
+relative tolerance, with a cap on pending panels) where a result is
+reported.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -92,17 +95,23 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
     Given a derivative fprime, each element instead runs safeguarded Newton
     from x0, which is then required; f(x) must then return the pair
     (f(x), err), err bounding the rounding error of f(x). See
-    _safeguarded_newton for the steps and stop rules.
+    _safeguarded_newton for the steps and stop rules. When targets, lo, hi
+    and x0 are all floats, the steps run on floats (_safeguarded_newton_float)
+    and a float comes back, with the bits of the array path.
     """
-    t = np.asarray(targets, dtype=float)
     if fprime is not None:
-        t, a, b = np.broadcast_arrays(t, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         if x0 is None:
             raise ValueError("the Newton mode of invert_monotone needs a start x0")
+        if (isinstance(targets, float) and isinstance(lo, float) and isinstance(hi, float)
+                and isinstance(x0, float)):
+            return float(_safeguarded_newton_float(f, fprime, targets, lo, hi, x0, increasing, max_iter))
+        t, a, b = np.broadcast_arrays(np.asarray(targets, dtype=float),
+                                      np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         x = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
         out = _safeguarded_newton(f, fprime, t.ravel(), a.ravel(), b.ravel(), x.ravel(),
                                   increasing, max_iter).reshape(t.shape)
         return out if out.shape else float(out)
+    t = np.asarray(targets, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
     # brackets can be adjacent floats only below this width; test exactly from there
@@ -156,6 +165,34 @@ def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):
         step[live] = np.where(ok, np.abs(newton - xl), 0.5 * (bl - al))
         x[live] = np.where(done, xl, nxt)
         live = live[~done]
+    return x
+
+
+def _safeguarded_newton_float(f, fprime, t, a, b, x, increasing, max_iter):
+    """_safeguarded_newton for one element on floats, step for step: the same
+    bracket update, Newton-or-bisection choice and stop rules, so the same
+    bits as the element's run in an array."""
+    step = step_old = b - a
+    for _ in range(max_iter):
+        value, err = f(x)
+        resid = value - t
+        if (resid < 0.0) if increasing else (resid > 0.0):
+            a = x
+        else:
+            b = x
+        slope = fprime(x)
+        if slope == 0.0:  # what numpy's resid / ±0.0 gives: ±inf, or NaN for 0 / 0 and NaN / 0
+            newton = x - (math.nan if resid == 0.0 or resid != resid
+                          else math.copysign(math.inf, resid) * math.copysign(1.0, slope))
+        else:
+            newton = x - resid / slope
+        mid = 0.5 * (a + b)
+        ok = a <= newton <= b and abs(newton - x) <= 0.5 * step_old
+        nxt = newton if ok else mid
+        if abs(resid) <= err or abs(nxt - x) <= 4.0 * EPS * abs(x) or mid == a or mid == b:
+            return x
+        step_old, step = step, abs(newton - x) if ok else 0.5 * (b - a)
+        x = nxt
     return x
 
 

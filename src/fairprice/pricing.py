@@ -117,25 +117,29 @@ def _audit_partition(segments, slice_, theta):
 
 
 def _eval_formula(seg: Segment, slice_: MarketSlice, v):
-    v = np.asarray(v, dtype=float)
+    """The segment's price at v before the cost clamp: a float for a float v,
+    which takes the distributions' scalar paths, else a float array."""
+    scalar = isinstance(v, float)
+    if not scalar:
+        v = np.asarray(v, dtype=float)
     if seg.formula == "identity":
         return v
     if seg.formula == "max_with_cost":
         return np.maximum(v, slice_.c)
     if seg.formula == "constant":
-        return np.full_like(v, seg.param("price"))
+        return seg.param("price") if scalar else np.full_like(v, seg.param("price"))
     if seg.formula == "quantile_shift":
         src = slice_.f_l if seg.theta == "l" else slice_.f_h
         dst = slice_.f_h if seg.theta == "l" else slice_.f_l
-        q = np.clip(np.asarray(src.cdf(v)) + seg.param("offset"), 0.0, 1.0 - TAIL_MASS)
-        return np.asarray(dst.quantile(q), dtype=float)
+        q = src.cdf(v) + seg.param("offset")
+        # min(max(.)) is np.clip on a float, NaN and -0.0 kept
+        q = min(max(q, 0.0), 1.0 - TAIL_MASS) if scalar else np.clip(q, 0.0, 1.0 - TAIL_MASS)
+        return dst.quantile(q)
     own = slice_.f_l if seg.theta == "l" else slice_.f_h
     if seg.formula == "delta_upper_inverse_of_complement":
-        level = seg.param("level")
-        return np.asarray(delta_inverse(slice_, level - np.asarray(own.cdf(v)), "upper"), dtype=float)
+        return delta_inverse(slice_, seg.param("level") - own.cdf(v), "upper")
     if seg.formula == "delta_lower_inverse_shift":
-        offset = seg.param("offset")
-        return np.asarray(delta_inverse(slice_, np.asarray(own.cdf(v)) + offset, "lower"), dtype=float)
+        return delta_inverse(slice_, own.cdf(v) + seg.param("offset"), "lower")
     raise ValidationError(seg.formula)
 
 
@@ -363,8 +367,8 @@ def _price_grid(rule: PricingRule, slice_: MarketSlice, n: int = PRICE_GRID) -> 
         hi_eff = min(seg.v_hi, cap)
         if hi_eff <= seg.v_lo:
             continue
-        ends = np.asarray(_eval_formula(seg, slice_, np.array([seg.v_lo, hi_eff])))
-        points.extend(np.maximum(ends, slice_.c).tolist())
+        points += [float(np.maximum(_eval_formula(seg, slice_, v), slice_.c))
+                   for v in (float(seg.v_lo), float(hi_eff))]
     lo_p, hi_p = min(points), max(max(points), cap)
     grid = np.linspace(lo_p, hi_p, n)
     extra = np.asarray(points, dtype=float)

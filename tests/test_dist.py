@@ -14,6 +14,7 @@ from fairprice.dist import (
     PiecewiseLinearCdf,
     ScaledFamily,
     _cap,
+    _check_likelihood_ratio_order,
     _gap_table,
     _pair_gap_profile,
     delta,
@@ -262,7 +263,7 @@ def test_scalar_cdf_and_pdf_give_the_array_bits(dist):
         _assert_scalar_path_matches_array(fn, _scalar_points(dist))
 
 
-@pytest.mark.parametrize("f_l, f_h", [
+SCALAR_PAIRS = pytest.mark.parametrize("f_l, f_h", [
     (Exponential(1.0), Exponential(3.0)),
     (MIX2_L, MIX2_H),
     (MIX3_L, MIX3_H),
@@ -271,10 +272,56 @@ def test_scalar_cdf_and_pdf_give_the_array_bits(dist):
     (PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 1.0))),
      PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))),
 ], ids=["exp", "mixture", "mixture3", "scaled", "scaled-mixture", "piecewise"])
+
+
+@SCALAR_PAIRS
 def test_scalar_gap_gives_the_array_bits(f_l, f_h):
     s = MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
     points = _scalar_points(f_l) + [s.cap(), gap_profile(s).v_star]
     _assert_scalar_path_matches_array(lambda v: delta(s, v), points)
+
+
+@SCALAR_PAIRS
+@pytest.mark.parametrize("branch", ["lower", "upper"])
+def test_scalar_delta_inverse_gives_the_array_bits(f_l, f_h, branch):
+    """A float level takes the table lookup and Newton on floats: the bits of
+    its element of an array call, at the table's own levels, both clips and
+    a level below the upper table's outer end (clamped there)."""
+    s = MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
+    tv = gap_profile(s).tv
+    levels = _gap_table(f_l, f_h, branch)[1].tolist()
+    upper_end = float(_gap_table(f_l, f_h, "upper")[1][0])
+    points = ([0.0, -0.0, 1e-300] + levels + np.linspace(0.0, tv, 66)[1:-1].tolist()
+              + [tv, tv + 5e-13, 0.5 * upper_end])
+    _assert_scalar_path_matches_array(lambda q: delta_inverse(s, q, branch), points)
+
+
+QUANTILE_FAMILIES = [Exponential(3.0), MIX2_L, MIX3_L, ScaledFamily(Exponential(2.0), 1.7),
+                     ScaledFamily(MIX2_L, 2.5)]
+
+
+@pytest.mark.parametrize("dist", QUANTILE_FAMILIES, ids=lambda d: type(d).__name__)
+def test_scalar_quantile_gives_the_array_bits(dist):
+    levels = [0.0, -0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 2.0, math.nan]
+    with np.errstate(invalid="ignore"):  # an exponential's log1p(-q) is NaN for q > 1
+        _assert_scalar_path_matches_array(dist.quantile, levels + np.linspace(0.0, 1.0, 66)[1:-1].tolist())
+
+
+@pytest.mark.parametrize("dist", all_families() + [MIX3_L, ScaledFamily(MIX2_L, 2.5)],
+                         ids=lambda d: type(d).__name__)
+def test_scalar_partial_mean_and_gains_give_the_array_bits(dist):
+    points = _scalar_points(dist)
+    for a in (0.5, -math.inf):
+        _assert_scalar_path_matches_array(lambda b: dist.partial_mean(a, b), points)
+    _assert_scalar_path_matches_array(lambda a: dist.partial_mean(a, math.inf), points)
+    # gains_above takes no array; its formula on arrays gives the bits to match
+    cs = np.array([max(x, 0.0) for x in points])
+    with np.errstate(invalid="ignore"):  # inf * 0 at c = inf
+        want = (np.asarray(dist.partial_mean(cs, np.full(len(cs), math.inf)))
+                - cs * (1.0 - np.asarray(dist.cdf(cs))))
+    for x, w in zip(points, want):
+        got = dist.gains_above(x)
+        assert type(got) is float and _bits(got) == _bits(w), (x, got, w)
 
 
 class TestScaledFamily:
@@ -298,6 +345,18 @@ class TestValidation:
     def test_likelihood_ratio_violation(self):
         with pytest.raises(ValidationError):
             MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(3.0), f_h=Exponential(1.0))
+
+    def test_likelihood_ratio_check_is_cached_per_pair(self):
+        """A valid pair is checked once for every slice that shares it; an
+        invalid one raises on every build, as lru_cache keeps no exception."""
+        f_l, f_h = Exponential(1.125), Exponential(3.375)
+        MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
+        hits = _check_likelihood_ratio_order.cache_info().hits
+        MarketSlice(c=0.5, alpha=0.25, f_l=f_l, f_h=f_h)
+        assert _check_likelihood_ratio_order.cache_info().hits == hits + 1
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="likelihood-ratio"):
+                MarketSlice(c=0.0, alpha=0.5, f_l=f_h, f_h=f_l)
 
     def test_support_mismatch(self):
         with pytest.raises(ValidationError):
@@ -446,6 +505,32 @@ def test_delta_inverse_evaluates_the_gap_a_few_times(s, branch, monkeypatch):
     monkeypatch.setattr(type(s.f_l), "cdf", counted)
     delta_inverse(s, q, branch)
     assert 1 <= len(calls) <= 8
+    calls.clear()
+    delta_inverse(s, float(q[617]), branch)  # a float level, on the scalar path
+    assert 1 <= len(calls) <= 8 and all(type(v) is float for v in calls)
+
+
+@pytest.mark.parametrize("s", [
+    MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)),
+    MarketSlice(c=0.0, alpha=0.5, f_l=MIX2_L, f_h=MIX2_H),
+], ids=["exp13", "mix"])
+def test_float_level_skips_the_array_newton(s, monkeypatch):
+    """A float level runs Newton on floats; only an array level reaches the
+    vector Newton."""
+    import fairprice.numerics as numerics
+
+    def array_newton(*args):
+        raise AssertionError("a float level reached the array Newton")
+
+    monkeypatch.setattr(numerics, "_safeguarded_newton", array_newton)
+    tv = gap_profile(s).tv
+    for branch in ("lower", "upper"):
+        for q in (0.0, 0.3 * tv, tv):
+            x = delta_inverse(s, q, branch)
+            assert type(x) is float
+            assert abs(delta(s, x) - q) <= 1e-10
+    with pytest.raises(AssertionError, match="array Newton"):
+        delta_inverse(s, np.array([0.3 * tv]), "lower")
 
 
 class TestMixtureNewtonQuantile:

@@ -7,10 +7,10 @@ A float (np.float64 included) takes a scalar path through cdf, pdf,
 quantile and partial_mean (so gains_above) of the exponential, mixture and
 cost-scaled families, and through the gap and its branch inverse: Python
 arithmetic and the array path's numpy ufuncs on the float, with no array
-round trip, and the Newton iterations of the mixture quantile and the gap
-inverse run on floats step for step. It gives the same bits as the array
-path, element for element; math's functions differ from numpy's loops by an
-ulp and are not used.
+round trip. The Newton iterations of the mixture quantile and the gap
+inverse, and the bisection for the gap maximizer, run on floats step for
+step. It gives the same bits as the array path, element for element; math's
+functions differ from numpy's loops by an ulp and are not used.
 Mixture quantiles are found by monotone Newton on the log survival function.
 Gap inverses start from a per-slice table of each branch of the gap and
 finish with safeguarded Newton steps on the density difference.
@@ -480,18 +480,19 @@ def gap_profile(slice_: MarketSlice) -> GapProfile:
 def _pair_gap_profile(f_l: ValueDistribution, f_h: ValueDistribution) -> GapProfile:
     """The gap is quasi-concave, so its grid argmax brackets the maximizer,
     pinned to adjacent floats by the sign change of the gap's slope f_l - f_h
-    (also where piecewise densities cross by a jump). Without a sign change
-    in the bracket the bisection clamps to the end where, by the
-    likelihood-ratio order, the gap is larger, or onto a flat top."""
+    (also where piecewise densities cross by a jump), bisected on floats with
+    two scalar pdfs per step. Without a sign change in the bracket the
+    bisection clamps to the end where, by the likelihood-ratio order, the gap
+    is larger, or onto a flat top."""
     grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), GRID_POINTS)
     gaps = np.asarray(_gap(f_l, f_h, grid))
     tv_grid = float(np.max(gaps))
     if tv_grid < 1e-12:
         raise DegenerateSlice("group distributions are numerically identical (gap below 1e-12)")
     i = int(np.argmax(gaps))
-    v_star = invert_monotone(lambda v: np.asarray(f_h.pdf(v)) - np.asarray(f_l.pdf(v)), 0.0,
+    v_star = invert_monotone(lambda v: f_h.pdf(v) - f_l.pdf(v), 0.0,
                              float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)]))
-    return GapProfile(v_star=float(v_star), tv=float(_gap(f_l, f_h, v_star)))
+    return GapProfile(v_star=v_star, tv=float(_gap(f_l, f_h, v_star)))
 
 
 @lru_cache(maxsize=16)

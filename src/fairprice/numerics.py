@@ -8,12 +8,12 @@ use Brent's method (tolerance 1e-12 on the argument, relative below unit
 scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
 until every bracket is two adjacent floats; given a derivative, it takes
 safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), each
-element from its own start and bracket. A float target, bracket and start
-take the same Newton steps on floats, with no array round trip and the
-array path's bits. Quadrature is one 32-node Gauss-Legendre rule: fixed
-inside solve loops, or adaptive (each panel against its two halves, to a
-relative tolerance, with a cap on pending panels) where a result is
-reported.
+element from its own start and bracket. A float target and bracket take
+the same bisection steps on floats, and with a float start the same Newton
+steps, with no array round trip and the array path's bits. Quadrature is
+one 32-node Gauss-Legendre rule: fixed inside solve loops, or adaptive (each
+panel against its two halves, to a relative tolerance, with a cap on
+pending panels) where a result is reported.
 """
 
 from __future__ import annotations
@@ -90,7 +90,9 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
     behaviour the Delta-inverse callers rely on for vanishing tails.
     Bisects until every bracket is two adjacent floats (each midpoint
     rounds to an end), when no later step could change 0.5 * (a + b), or
-    until max_iter steps.
+    until max_iter steps. When targets, lo and hi are all floats, the
+    bisection runs on floats (_bisect_float) and a float comes back, with
+    the bits of the array path.
 
     Given a derivative fprime, each element instead runs safeguarded Newton
     from x0, which is then required; f(x) must then return the pair
@@ -111,6 +113,13 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
         out = _safeguarded_newton(f, fprime, t.ravel(), a.ravel(), b.ravel(), x.ravel(),
                                   increasing, max_iter).reshape(t.shape)
         return out if out.shape else float(out)
+    if isinstance(targets, float) and isinstance(lo, float) and isinstance(hi, float):
+        return _bisect_float(f, targets, lo, hi, increasing, max_iter)
+    return _bisect_array(f, targets, lo, hi, increasing, max_iter)
+
+
+def _bisect_array(f, targets, lo, hi, increasing, max_iter):
+    """invert_monotone's bisection on numpy arrays, all elements in step."""
     t = np.asarray(targets, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
@@ -126,6 +135,23 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
         b = np.where(below, b, mid)
     out = 0.5 * (a + b)
     return out if out.shape else float(out)
+
+
+def _bisect_float(f, t, a, b, increasing, max_iter):
+    """_bisect_array for one float target and bracket, step for step: the same
+    ulp floor, stop test and side rule (a NaN f(mid) moves b), so the same
+    bits as the array path."""
+    ulp_floor = 4.0 * EPS * max(abs(a), abs(b))
+    for _ in range(max_iter):
+        mid = 0.5 * (a + b)
+        if b - a <= ulp_floor and (mid == a or mid == b):
+            break
+        fm = f(mid)
+        if (fm < t) if increasing else (fm > t):
+            a = mid
+        else:
+            b = mid
+    return float(0.5 * (a + b))
 
 
 def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):

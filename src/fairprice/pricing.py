@@ -143,27 +143,33 @@ def _eval_formula(seg: Segment, slice_: MarketSlice, v):
     raise ValidationError(seg.formula)
 
 
-def _preimage_level(seg: Segment, slice_: MarketSlice, x):
+def _group_cdfs(slice_: MarketSlice, x: np.ndarray):
+    """F_l(x) and F_h(x) as float arrays: the two group cdfs on the price
+    points, evaluated once for every segment of both groups."""
+    return np.asarray(slice_.f_l.cdf(x)), np.asarray(slice_.f_h.cdf(x))
+
+
+def _preimage_level(seg: Segment, slice_: MarketSlice, x: np.ndarray, cdfs):
     """Own-group cdf level y(x) with {v : price(v) <= x} = {v : F_own(v) <= y(x)}
     on the segment: -inf when that set is empty, +inf when it is everything.
 
     Every non-constant formula composes nondecreasing maps of F_own(v), so the
     set is a lower set and its level needs no quantile: the partner cdf minus
-    the offset, the level minus the gap, or the gap minus the offset."""
-    x = np.asarray(x, dtype=float)
-    own, partner = (slice_.f_l, slice_.f_h) if seg.theta == "l" else (slice_.f_h, slice_.f_l)
+    the offset, the level minus the gap, or the gap minus the offset. All are
+    read from cdfs, the group cdfs on x (_group_cdfs); F_l(x) - F_h(x) is the
+    gap as dist.delta computes it."""
+    cdf_l, cdf_h = cdfs
+    own, partner = (cdf_l, cdf_h) if seg.theta == "l" else (cdf_h, cdf_l)
     if seg.formula == "constant":
         y = np.where(x >= max(seg.param("price"), slice_.c) - 1e-12, np.inf, -np.inf)
     elif seg.formula in ("identity", "max_with_cost"):
-        y = np.asarray(own.cdf(x))
+        y = own
     elif seg.formula == "quantile_shift":
-        y = np.asarray(partner.cdf(x)) - seg.param("offset")
+        y = partner - seg.param("offset")
     elif seg.formula == "delta_upper_inverse_of_complement":
-        y = np.where(x < gap_profile(slice_).v_star - 1e-12, -np.inf,
-                     seg.param("level") - np.asarray(delta(slice_, x)))
+        y = np.where(x < gap_profile(slice_).v_star - 1e-12, -np.inf, seg.param("level") - (cdf_l - cdf_h))
     else:
-        y = np.where(x >= gap_profile(slice_).v_star, np.inf,
-                     np.asarray(delta(slice_, x)) - seg.param("offset"))
+        y = np.where(x >= gap_profile(slice_).v_star, np.inf, (cdf_l - cdf_h) - seg.param("offset"))
     # prices are clamped at cost: below-cost queries have empty preimages
     return np.where(x < slice_.c - 1e-12, -np.inf, y)
 
@@ -320,19 +326,22 @@ class PriceDistribution:
     atoms: tuple
 
     def cdf(self, x):
-        out = _rule_price_cdf(self.rule, self.theta, np.atleast_1d(np.asarray(x, dtype=float)))
+        grid = np.atleast_1d(np.asarray(x, dtype=float))
+        out = _rule_price_cdf(self.rule, self.theta, grid, _group_cdfs(self.rule.slice, grid))
         return out if np.asarray(x).shape else float(out[0])
 
 
-def _rule_price_cdf(rule: PricingRule, theta: str, x: np.ndarray) -> np.ndarray:
-    """The theta-group price cdf at the prices x, summed over its segments."""
+def _rule_price_cdf(rule: PricingRule, theta: str, x: np.ndarray, cdfs) -> np.ndarray:
+    """The theta-group price cdf at the prices x, summed over its segments;
+    cdfs are the group cdfs on x (_group_cdfs)."""
     pieces = [(seg.v_lo, seg.v_hi, seg) for seg in rule.segments_for(theta)]
-    return np.clip(_pushforward(rule.slice, theta, pieces, x), 0.0, 1.0)
+    return np.clip(_pushforward(rule.slice, theta, pieces, x, cdfs), 0.0, 1.0)
 
 
-def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray) -> np.ndarray:
+def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray, cdfs) -> np.ndarray:
     """P(value in some piece, price <= x) for the theta-group over value
-    pieces (a, b, seg): the piece's own-cdf mass below the preimage level."""
+    pieces (a, b, seg): the piece's own-cdf mass below the preimage level,
+    read from the group cdfs on x (_group_cdfs)."""
     dist = slice_.f_l if theta == "l" else slice_.f_h
     total = np.zeros_like(x)
     for a, b, seg in pieces:
@@ -340,7 +349,7 @@ def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray) -> np.n
         mass_hi = float(dist.cdf(b)) if math.isfinite(b) else 1.0
         if mass_hi - mass_lo <= 0.0:
             continue
-        total += np.clip(_preimage_level(seg, slice_, x), mass_lo, mass_hi) - mass_lo
+        total += np.clip(_preimage_level(seg, slice_, x, cdfs), mass_lo, mass_hi) - mass_lo
     return total
 
 
@@ -351,7 +360,8 @@ def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistri
     atoms = []
     for seg in rule.segments_for(theta):
         at = max(seg.param("price"), slice_.c) if seg.formula == "constant" else slice_.c
-        mass = float(_pushforward(slice_, theta, [(seg.v_lo, seg.v_hi, seg)], np.array([at]))[0])
+        x = np.array([at])
+        mass = float(_pushforward(slice_, theta, [(seg.v_lo, seg.v_hi, seg)], x, _group_cdfs(slice_, x))[0])
         if mass > 1e-15:
             atoms.append((at, mass))
     merged = {}
@@ -378,9 +388,12 @@ def _price_grid(rule: PricingRule, slice_: MarketSlice, n: int = PRICE_GRID) -> 
 
 def check_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:
     """Supremum over a refined price grid of the gap between the two groups'
-    price cdfs; a rule passes when the gap is at most 1e-6."""
+    price cdfs; a rule passes when the gap is at most 1e-6. Each group's
+    value cdf is evaluated once on the grid."""
     grid = _price_grid(rule, slice_)
-    return float(np.max(np.abs(_rule_price_cdf(rule, "l", grid) - _rule_price_cdf(rule, "h", grid))))
+    cdfs = _group_cdfs(slice_, grid)
+    gap = _rule_price_cdf(rule, "l", grid, cdfs) - _rule_price_cdf(rule, "h", grid, cdfs)
+    return float(np.max(np.abs(gap)))
 
 
 def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
@@ -485,11 +498,12 @@ def check_outcome_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> f
     Detects the stronger outcome-level discrimination that the price cdf
     alone cannot see."""
     grid = _price_grid(rule, slice_)
+    cdfs = _group_cdfs(slice_, grid)
     pieces = {theta: sale_pieces(rule, slice_, theta) for theta in ("l", "h")}
     gap = 0.0
     for sale in (True, False):
         joint_l, joint_h = (
-            _pushforward(slice_, theta, [p[:3] for p in pieces[theta] if p[3] == sale], grid)
+            _pushforward(slice_, theta, [p[:3] for p in pieces[theta] if p[3] == sale], grid, cdfs)
             for theta in ("l", "h"))
         gap = max(gap, float(np.max(np.abs(joint_l - joint_h))))
     return gap

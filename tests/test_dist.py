@@ -533,6 +533,31 @@ def test_float_level_skips_the_array_newton(s, monkeypatch):
         delta_inverse(s, np.array([0.3 * tv]), "lower")
 
 
+@pytest.mark.parametrize("f_l, f_h", [
+    (Exponential(1.0), Exponential(3.0)),
+    (MIX2_L, MIX2_H),
+    (ScaledFamily(Exponential(1.0), 1.7), ScaledFamily(Exponential(3.0), 1.7)),
+    (PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 1.0))),
+     PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))),
+], ids=["exp", "mixture", "scaled", "piecewise"])
+def test_gap_profile_skips_the_array_bisection(f_l, f_h, monkeypatch):
+    """v* is bisected on floats; only an array target reaches the array
+    bisection."""
+    import fairprice.numerics as numerics
+
+    def array_bisection(*args):
+        raise AssertionError("the v* search reached the array bisection")
+
+    monkeypatch.setattr(numerics, "_bisect_array", array_bisection)
+    _pair_gap_profile.cache_clear()
+    gp = _pair_gap_profile(f_l, f_h)
+    assert type(gp.v_star) is float and type(gp.tv) is float
+    grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), 1001)
+    assert gp.tv >= float(np.max(f_l.cdf(grid) - f_h.cdf(grid))) - 1e-15
+    with pytest.raises(AssertionError, match="array bisection"):
+        invert_monotone(lambda v: f_h.pdf(v) - f_l.pdf(v), np.array([0.0]), 0.5, 1.5)
+
+
 class TestMixtureNewtonQuantile:
     EPS = float(np.finfo(float).eps)
 

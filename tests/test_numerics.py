@@ -82,6 +82,43 @@ class TestInvertMonotone:
         assert invert_monotone(f, float(t[0]), 1.0, 1e6, increasing=increasing) == want[0]
 
 
+def _nan_above_half(x):
+    return float(x) if x < 0.5 else math.nan
+
+
+@pytest.mark.parametrize("f, t, lo, hi, increasing, max_iter", [
+    (lambda x: np.log1p(x / 7.0), 0.3, 0.0, 10.0, True, MAX_ITER),
+    (lambda x: -np.log1p(x / 7.0), -0.3, 0.0, 10.0, False, MAX_ITER),
+    (lambda x: np.log1p(x / 7.0), -1.0, 0.0, 10.0, True, MAX_ITER),
+    (lambda x: np.log1p(x / 7.0), 5.0, 0.0, 10.0, True, MAX_ITER),
+    (lambda x: -np.log1p(x / 7.0), 1.0, 0.0, 10.0, False, MAX_ITER),
+    (lambda x: -np.log1p(x / 7.0), -5.0, 0.0, 10.0, False, MAX_ITER),
+    (_nan_above_half, 0.7, 0.0, 1.0, True, MAX_ITER),
+    (lambda x: np.log(x), math.log(1.234567e6), 1e6, 3e6, True, MAX_ITER),
+    (lambda x: x * x * x, 1e-9, -1e-3, 2e-3, True, MAX_ITER),
+    (lambda x: x, 0.0, -1e-3, 2e-3, True, MAX_ITER),
+    (lambda x: x, 0.5, 2.0, 2.0, True, MAX_ITER),
+    (lambda x: np.log1p(x / 7.0), 0.3, 0.0, 10.0, True, 3),
+], ids=["increasing", "decreasing", "clamp-lo", "clamp-hi", "decreasing-clamp-lo",
+        "decreasing-clamp-hi", "nan", "scale-1e6", "straddles-0", "cap-at-0", "lo-equals-hi",
+        "max-iter-3"])
+def test_float_bisection_gives_the_array_bits(f, t, lo, hi, increasing, max_iter):
+    """A float target and bracket bisect on floats (f sees Python floats) and
+    give the bytes of the same call with a 0-d target, which takes the array
+    path: the ulp floor, stop test, NaN side and iteration cap agree."""
+    seen = []
+
+    def traced(x):
+        seen.append(type(x))
+        return f(x)
+
+    got = invert_monotone(traced, t, lo, hi, increasing=increasing, max_iter=max_iter)
+    want = invert_monotone(f, np.asarray(t), lo, hi, increasing=increasing, max_iter=max_iter)
+    assert type(got) is float and type(want) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert set(seen) <= {float}
+
+
 class TestInvertMonotoneNewton:
     @staticmethod
     def cubic(x):

@@ -11,6 +11,7 @@ from fairprice.errors import OutOfRange, ValidationError
 from fairprice.pricing import (
     FORMULAS,
     NONDISCRIMINATION_TOL,
+    PRICE_GRID,
     PricingRule,
     Segment,
     _eval_formula,
@@ -261,6 +262,26 @@ class TestPriceDistribution:
             for theta in ("l", "h"):
                 cdf = price_cdf(rule, rule.slice, theta).cdf(grid)
                 assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] <= 1.0
+
+
+def test_price_check_evaluates_each_group_cdf_once(exp13, c2_slice, c3_slice, monkeypatch):
+    """check_nondiscrimination reads every segment's preimage level from one
+    grid-sized cdf call per group distribution."""
+    rules = [build_p_star(s) for s in (exp13, c2_slice, c3_slice)]
+    rules += [build_p_ass(exp13), build_p_anti(exp13, q_star(exp13))]
+    assert [classify_region(rule.slice) for rule in rules[:3]] == [Region.C1, Region.C2, Region.C3]
+    calls = []
+    for family in (Exponential, ExponentialMixture, ScaledFamily):
+        def counted(self, v, cdf=family.cdf):
+            if np.size(v) >= PRICE_GRID:
+                calls.append(self)
+            return cdf(self, v)
+        monkeypatch.setattr(family, "cdf", counted)
+    for rule in rules:
+        calls.clear()
+        assert check_nondiscrimination(rule, rule.slice) <= NONDISCRIMINATION_TOL
+        assert rule.slice.f_l in calls and rule.slice.f_h in calls, rule.name
+        assert max(calls.count(d) for d in calls) == 1, rule.name
 
 
 class TestOutcomeNondiscrimination:

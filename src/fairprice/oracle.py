@@ -20,6 +20,11 @@ Without a usable certificate the potentials come from a cold solve on every
 2011, Schmitzer 2016). On the noisy objective, exp(1) vs exp(m), m in [2, 5],
 it takes an n = 400 solve from 70-80 ms to 9-14 ms and an n = 800 one from
 0.36-0.55 s to 0.05-0.13 s (best of 3, 2-core host).
+
+Only `import scipy` runs at import time; scipy loads scipy.optimize on the
+first attribute access, so only solve_assignment and the oracle_gap* checks
+(the `verify` command) pay its ~0.5 s import, and the other commands start in
+about 0.25 s instead of about 0.75 s.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 
 from .cutoffs import solve_kappa_tilde
 from .dist import MarketSlice
@@ -104,7 +109,7 @@ def _multiscale_reduced_costs(inst: AssignmentInstance) -> np.ndarray:
     psi = np.zeros(inst.n)
     if len(idx) >= 2:
         sub = cost[np.ix_(idx, idx)]
-        _, sigma = linear_sum_assignment(sub, maximize=True)
+        _, sigma = scipy.optimize.linear_sum_assignment(sub, maximize=True)
         on = sub[np.arange(len(idx)), sigma]
         coarse = np.zeros(len(idx))
         # rounding on zero-weight cycles can lower an entry by an ulp a round
@@ -138,7 +143,7 @@ def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = N
             reduced -= inst.cost_matrix
     if reduced is None or not np.isfinite(reduced).all():
         reduced = _multiscale_reduced_costs(inst)
-    rows, cols = linear_sum_assignment(reduced)
+    rows, cols = scipy.optimize.linear_sum_assignment(reduced)
     perm = np.empty(inst.n, dtype=int)
     perm[rows] = cols
     value = float(inst.cost_matrix[rows, cols].mean())

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -435,3 +439,23 @@ class TestEntryPoint:
         cfg = write_config(tmp_path, {**BASE_CONFIG,
                                       "sweep": {"alpha_grid": [0.4, 0.6]}})
         assert run(cfg, "sweep", out_dir=tmp_path / "out") == 0
+
+    def test_only_verify_loads_scipy_optimize(self, tmp_path):
+        """scipy.optimize (~0.5 s to import) loads on the first assignment,
+        not with the package; the top-level scipy module stays loaded for
+        callers that read its version."""
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        child = (
+            "import sys\n"
+            "from fairprice import cli\n"
+            "cfg, out = sys.argv[1:]\n"
+            "assert cli.run(cfg, 'solve', out_dir=out) == 0\n"
+            "assert 'scipy' in sys.modules\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert cli.run(cfg, 'verify', out_dir=out) == 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", child, str(cfg), str(tmp_path / "out")],
+                       env=env, check=True)

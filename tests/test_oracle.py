@@ -167,7 +167,7 @@ class TestWarmStart:
         k = solve_kappa(exp13)
         cert = certificate_from_kappa(exp13, dataclasses.replace(k, k1=k.k1 if k1 is None else k1))
         calls = []
-        monkeypatch.setattr("fairprice.oracle.linear_sum_assignment",
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
                             lambda cost, maximize=False: calls.append(maximize)
                             or linear_sum_assignment(cost, maximize=maximize))
         inst = discretize(exp13, 50)

@@ -18,11 +18,9 @@ headers; an identical config reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -131,6 +129,10 @@ def _parse_market(spec: dict) -> Market:
 
 
 def _number(value, where: str, kind=float):
+    """value as a float, or as an int for kind=int; an int must be integral
+    (JSON's 1e3 reads as 1000) and not a bool."""
+    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -196,23 +198,12 @@ class ExperimentConfig:
             raise ValidationError(f"outcomes.n_atoms must lie in [10, 1000000], got {self.outcome_atoms}")
 
 
-def _pool_size() -> int:
-    env = os.environ.get("FAIRPRICE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"FAIRPRICE_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
+def _pool_size() -> int:  # kept only for perfbench, which reads it; ROADMAP item 6 deletes it
+    return 1
 
 
-def _parallel_map(fn, items):
-    """Map preserving input order; pool size capped by FAIRPRICE_THREADS."""
-    workers = _pool_size()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _parallel_map(fn, items):  # kept only for perfbench, which reads it; ROADMAP item 6 deletes it
+    return [fn(x) for x in items]
 
 
 def _solve_slice(slice_: MarketSlice):
@@ -372,7 +363,7 @@ def _sweep_points(template: MarketSlice, axis: str, grid, where: str):
 
 
 def _star_reports(slices):
-    """Welfare report of the optimal rule on each slice, on the worker pool."""
+    """Welfare report of the optimal rule on each slice."""
     return _parallel_map(lambda s: welfare_report(build_p_star(s), s), slices)
 
 

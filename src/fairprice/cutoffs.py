@@ -89,7 +89,7 @@ def _chord_start(slice_: MarketSlice, h):
     if lo.shape:
         return invert_monotone(chord, np.zeros(lo.shape), lo, v_star, increasing=False)
     try:
-        return bisect(chord, float(lo), v_star, xtol=0.0)
+        return bisect(chord, float(lo), v_star)
     except NoConvergence as exc:
         return float(lo) if exc.diagnostics["f_lo"] < 0.0 else v_star
 
@@ -147,7 +147,7 @@ def solve_kappa(slice_: MarketSlice) -> Kappa:
     elif r_hi >= 0.0:
         h = h_hi
     else:
-        h = bisect(lambda x: fixed_point_residual(slice_, x), h_lo, h_hi, xtol=0.0)
+        h = bisect(lambda x: fixed_point_residual(slice_, x), h_lo, h_hi)
 
     k2, k4, k5, _ = _chord_cutoffs(slice_, h)
     k1 = alpha * h + c
@@ -283,8 +283,7 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         k1 = harmonic * k2 / (k2 - harmonic)
         return (k1, k2, k3, k4, k5), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
 
-    # xtol=0.0: the default stop scales with the cap, not with h
-    h = bisect(lambda x: outer(x)[1], 0.0, slice_.cap() - slice_.support_lo, xtol=0.0)
+    h = bisect(lambda x: outer(x)[1], 0.0, slice_.cap() - slice_.support_lo)
     sol, _ = outer(h)
     if sol is None:
         raise NoConvergence("outer root collapsed onto an infeasible point", h=h)

@@ -229,7 +229,7 @@ class ExponentialMixture(ValueDistribution):
             live = live[moving]
         if live.size:
             raise NoConvergence("mixture quantile Newton hit the iteration cap",
-                                level=float(q.ravel()[live[0]]), max_iter=MAX_ITER)
+                                level=float(q.ravel()[live[0]]), iterations=MAX_ITER)
         out = x.reshape(q.shape)
         return out if out.shape else float(out)
 
@@ -248,7 +248,7 @@ class ExponentialMixture(ValueDistribution):
             if live:
                 x = x + step
         if live:
-            raise NoConvergence("mixture quantile Newton hit the iteration cap", level=q, max_iter=MAX_ITER)
+            raise NoConvergence("mixture quantile Newton hit the iteration cap", level=q, iterations=MAX_ITER)
         return x
 
     def partial_mean(self, a, b):

@@ -4,8 +4,8 @@ change of its slope), `gauss_legendre` and `adaptive_gauss_legendre`
 integrate.
 
 All target functions here are monotone on the chosen bracket. Scalar roots
-use Brent's method (tolerance 1e-12 on the argument, relative below unit
-scale; 200-iteration cap). The vector variant runs bisection on numpy arrays
+use Brent's method, which stops once the bracket is a few ulps of the root
+wide (200-iteration cap). The vector variant runs bisection on numpy arrays
 until every bracket is two adjacent floats; given a derivative, it takes
 safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), each
 element from its own start and bracket. A float target and bracket take
@@ -25,19 +25,16 @@ import numpy as np
 
 from .errors import NoConvergence
 
-XTOL = 1e-12
 MAX_ITER = 200
 MAX_INTERVALS = 4096
 QUAD_RTOL = 1e-13
 EPS = float(np.finfo(float).eps)
 
 
-def bisect(f, lo: float, hi: float, *, xtol: float = XTOL) -> float:
+def bisect(f, lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by Brent's method; f(lo) and f(hi) must not have
-    the same strict sign. Stops once the bracket is xtol * min(1, max(|lo|,
-    |hi|)) wide (plus a few ulps of the root), so the tolerance is relative
-    below unit scale, and returns the end with the smaller |f|."""
-    xtol *= min(1.0, max(abs(lo), abs(hi)))
+    the same strict sign. Stops once the bracket is a few ulps of the root
+    wide (4 eps |b|) and returns the end with the smaller |f|."""
     a, b = lo, hi
     fa = f(a)
     if fa == 0.0:
@@ -57,7 +54,7 @@ def bisect(f, lo: float, hi: float, *, xtol: float = XTOL) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * EPS * abs(b) + 0.5 * xtol
+        tol = 2.0 * EPS * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -82,15 +79,14 @@ def bisect(f, lo: float, hi: float, *, xtol: float = XTOL) -> float:
     return b
 
 
-def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
-                    max_iter: int = MAX_ITER, fprime=None, x0=None):
+def invert_monotone(f, targets, lo, hi, *, increasing: bool = True, fprime=None, x0=None):
     """Solve f(x) = t elementwise for monotone f; targets/lo/hi broadcast.
 
     Out-of-bracket targets clamp to the nearer endpoint, which is the
     behaviour the Delta-inverse callers rely on for vanishing tails.
     Bisects until every bracket is two adjacent floats (each midpoint
     rounds to an end), when no later step could change 0.5 * (a + b), or
-    until max_iter steps. When targets, lo and hi are all floats, the
+    until MAX_ITER steps. When targets, lo and hi are all floats, the
     bisection runs on floats (_bisect_float) and a float comes back, with
     the bits of the array path.
 
@@ -106,26 +102,26 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True,
             raise ValueError("the Newton mode of invert_monotone needs a start x0")
         if (isinstance(targets, float) and isinstance(lo, float) and isinstance(hi, float)
                 and isinstance(x0, float)):
-            return float(_safeguarded_newton_float(f, fprime, targets, lo, hi, x0, increasing, max_iter))
+            return float(_safeguarded_newton_float(f, fprime, targets, lo, hi, x0, increasing))
         t, a, b = np.broadcast_arrays(np.asarray(targets, dtype=float),
                                       np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         x = np.broadcast_to(np.asarray(x0, dtype=float), t.shape)
         out = _safeguarded_newton(f, fprime, t.ravel(), a.ravel(), b.ravel(), x.ravel(),
-                                  increasing, max_iter).reshape(t.shape)
+                                  increasing).reshape(t.shape)
         return out if out.shape else float(out)
     if isinstance(targets, float) and isinstance(lo, float) and isinstance(hi, float):
-        return _bisect_float(f, targets, lo, hi, increasing, max_iter)
-    return _bisect_array(f, targets, lo, hi, increasing, max_iter)
+        return _bisect_float(f, targets, lo, hi, increasing)
+    return _bisect_array(f, targets, lo, hi, increasing)
 
 
-def _bisect_array(f, targets, lo, hi, increasing, max_iter):
+def _bisect_array(f, targets, lo, hi, increasing):
     """invert_monotone's bisection on numpy arrays, all elements in step."""
     t = np.asarray(targets, dtype=float)
     a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
     b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
     # brackets can be adjacent floats only below this width; test exactly from there
     ulp_floor = 4.0 * EPS * max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
         if np.max(b - a, initial=0.0) <= ulp_floor and np.all((mid == a) | (mid == b)):
             break
@@ -137,12 +133,12 @@ def _bisect_array(f, targets, lo, hi, increasing, max_iter):
     return out if out.shape else float(out)
 
 
-def _bisect_float(f, t, a, b, increasing, max_iter):
+def _bisect_float(f, t, a, b, increasing):
     """_bisect_array for one float target and bracket, step for step: the same
     ulp floor, stop test and side rule (a NaN f(mid) moves b), so the same
     bits as the array path."""
     ulp_floor = 4.0 * EPS * max(abs(a), abs(b))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)
         if b - a <= ulp_floor and (mid == a or mid == b):
             break
@@ -154,7 +150,7 @@ def _bisect_float(f, t, a, b, increasing, max_iter):
     return float(0.5 * (a + b))
 
 
-def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):
+def _safeguarded_newton(f, fprime, t, a, b, x, increasing):
     """Newton-bisection hybrid on flat arrays; each element is independent.
 
     Every evaluated iterate replaces the bracket end on its side of the root.
@@ -169,7 +165,7 @@ def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):
     a, b, x = a.copy(), b.copy(), x.copy()
     step, step_old = b - a, b - a
     live = np.arange(x.size)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if live.size == 0:
             break
         xl = x[live]
@@ -194,12 +190,12 @@ def _safeguarded_newton(f, fprime, t, a, b, x, increasing, max_iter):
     return x
 
 
-def _safeguarded_newton_float(f, fprime, t, a, b, x, increasing, max_iter):
+def _safeguarded_newton_float(f, fprime, t, a, b, x, increasing):
     """_safeguarded_newton for one element on floats, step for step: the same
     bracket update, Newton-or-bisection choice and stop rules, so the same
     bits as the element's run in an array."""
     step = step_old = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         value, err = f(x)
         resid = value - t
         if (resid < 0.0) if increasing else (resid > 0.0):

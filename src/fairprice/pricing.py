@@ -370,7 +370,7 @@ def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistri
     return PriceDistribution(rule=rule, theta=theta, atoms=tuple(sorted(merged.items())))
 
 
-def _price_grid(rule: PricingRule, slice_: MarketSlice, n: int = PRICE_GRID) -> np.ndarray:
+def _price_grid(rule: PricingRule, slice_: MarketSlice) -> np.ndarray:
     cap = slice_.cap()
     points = [slice_.c, gap_profile(slice_).v_star]
     for seg in rule.segments:
@@ -380,7 +380,7 @@ def _price_grid(rule: PricingRule, slice_: MarketSlice, n: int = PRICE_GRID) -> 
         points += [float(np.maximum(_eval_formula(seg, slice_, v), slice_.c))
                    for v in (float(seg.v_lo), float(hi_eff))]
     lo_p, hi_p = min(points), max(max(points), cap)
-    grid = np.linspace(lo_p, hi_p, n)
+    grid = np.linspace(lo_p, hi_p, PRICE_GRID)
     extra = np.asarray(points, dtype=float)
     eps = 1e-9 * max(1.0, hi_p)
     return np.unique(np.concatenate([grid, extra, extra - eps, extra + eps]))

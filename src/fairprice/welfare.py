@@ -272,7 +272,7 @@ def uniform_price_revenue(market_or_slice):
     i = int(np.argmax(revenue(grid)))
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])
     if slope(a) > 0.0 > slope(b):
-        p_best = bisect(slope, a, b, xtol=0.0)
+        p_best = bisect(slope, a, b)
     else:
         p_best = max((a, b), key=revenue)
     return float(p_best), float(revenue(p_best))

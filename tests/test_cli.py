@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fairprice.cli import main, run
+from fairprice.cli import ExperimentConfig, main, run
 
 
 BASE_CONFIG = {
@@ -117,6 +117,28 @@ class TestValidation:
         assert run(write_config(tmp_path, payload), "solve", out_dir=out) == 2
         err = json.loads((out / "error.json").read_text())
         assert (err["exit_code"], err["error"]) == (2, "ValidationError")
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(oracle_n=200.9),
+        lambda p: p.update(oracle_n=True),
+        lambda p: p.update(outcomes={"n_atoms": 1000.5}),
+        lambda p: p.update(outcomes={"n_atoms": True}),
+    ], ids=["oracle-n-fraction", "oracle-n-bool", "n-atoms-fraction", "n-atoms-bool"])
+    def test_non_integral_count_is_config_error(self, tmp_path, edit):
+        """A count is not truncated: 200.9 is an error, not 200."""
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        edit(payload)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, payload), "solve", out_dir=out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["exit_code"], err["error"]) == (2, "ValidationError")
+        assert "must be an integer" in err["message"]
+
+    def test_integral_float_count_is_accepted(self):
+        """JSON's 1e3 is the count 1000."""
+        config = ExperimentConfig({**BASE_CONFIG, "oracle_n": 200.0, "outcomes": {"n_atoms": 1e3}})
+        assert (config.oracle_n, config.outcome_atoms) == (200, 1000)
+        assert type(config.oracle_n) is int and type(config.outcome_atoms) is int
 
     @pytest.mark.parametrize("override", [{"oracle_n": "x"}], ids=["oracle-n"])
     def test_non_numeric_override_is_config_error(self, tmp_path, override):
@@ -430,20 +452,11 @@ class TestEntryPoint:
             main([])
         assert err.value.code == 2
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        from fairprice.cli import _pool_size
-
-        monkeypatch.setenv("FAIRPRICE_THREADS", "2")
-        assert _pool_size() == 2
-        monkeypatch.setenv("FAIRPRICE_THREADS", "1")
-        cfg = write_config(tmp_path, {**BASE_CONFIG,
-                                      "sweep": {"alpha_grid": [0.4, 0.6]}})
-        assert run(cfg, "sweep", out_dir=tmp_path / "out") == 0
-
     def test_only_verify_loads_scipy_optimize(self, tmp_path):
         """scipy.optimize (~0.5 s to import) loads on the first assignment,
         not with the package; the top-level scipy module stays loaded for
-        callers that read its version."""
+        callers that read its version. solve runs its slices serially, with
+        no thread pool."""
         cfg = write_config(tmp_path, BASE_CONFIG)
         child = (
             "import sys\n"
@@ -452,6 +465,8 @@ class TestEntryPoint:
             "assert cli.run(cfg, 'solve', out_dir=out) == 0\n"
             "assert 'scipy' in sys.modules\n"
             "assert 'scipy.optimize' not in sys.modules\n"
+            "assert 'concurrent.futures' not in sys.modules\n"  # scipy.optimize imports it
+            "assert cli._pool_size() == 1\n"
             "assert cli.run(cfg, 'verify', out_dir=out) == 0\n"
             "assert 'scipy.optimize' in sys.modules\n"
         )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fairprice import numerics
 from fairprice.dist import (
     Exponential,
     ExponentialMixture,
@@ -440,8 +441,10 @@ def _bisection_inverse(s, q, branch):
         lo = gp.v_star
         hi = s.support_hi if math.isfinite(s.support_hi) else max(
             float(s.f_l.quantile(1.0 - 1e-13)), float(s.f_h.quantile(1.0 - 1e-13)))
-    return invert_monotone(lambda v: delta(s, v), np.clip(q, 0.0, gp.tv), lo, hi,
-                           increasing=branch == "lower", max_iter=2000)
+    with pytest.MonkeyPatch.context() as mp:  # subnormal roots take over 1,000 halvings
+        mp.setattr(numerics, "MAX_ITER", 2000)
+        return invert_monotone(lambda v: delta(s, v), np.clip(q, 0.0, gp.tv), lo, hi,
+                               increasing=branch == "lower")
 
 
 @st.composite

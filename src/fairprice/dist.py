@@ -495,22 +495,27 @@ def _pair_gap_profile(f_l: ValueDistribution, f_h: ValueDistribution) -> GapProf
     return GapProfile(v_star=v_star, tv=float(_gap(f_l, f_h, v_star)))
 
 
+@lru_cache(maxsize=128)
+def _upper_gap_end(f_l: ValueDistribution, f_h: ValueDistribution) -> float:
+    """Outer end U of the upper branch of the gap of a value pair:
+    support_hi or, on unbounded supports, the larger 1 - 1e-13 quantile.
+    That is deeper than the grid cap, so the residual gap at a root clamped
+    to U stays well inside the 1e-10 contract. Upper-branch inverses of
+    levels at or below the gap at U clamp to U."""
+    if math.isfinite(f_l.support_hi):
+        return f_l.support_hi
+    return max(float(f_l.quantile(1.0 - 1e-13)), float(f_h.quantile(1.0 - 1e-13)))
+
+
 @lru_cache(maxsize=16)
 def _gap_table(f_l: ValueDistribution, f_h: ValueDistribution, branch: str):
     """Nodes of one branch of the gap of a value pair, from its outer end to
     the maximizer, and their levels as an ascending key: a running max, since
     rounding can make the tabulated gap non-monotone in a flat upper tail.
 
-    The upper branch ends at support_hi or, on unbounded supports, at the
-    larger 1 - 1e-13 quantile: deeper than the grid cap, so the residual gap
-    at a clamped root stays well inside the 1e-10 contract."""
+    The upper branch ends at _upper_gap_end."""
     gp = _pair_gap_profile(f_l, f_h)
-    if branch == "lower":
-        end = f_l.support_lo
-    elif math.isfinite(f_l.support_hi):
-        end = f_l.support_hi
-    else:
-        end = max(float(f_l.quantile(1.0 - 1e-13)), float(f_h.quantile(1.0 - 1e-13)))
+    end = f_l.support_lo if branch == "lower" else _upper_gap_end(f_l, f_h)
     nodes = np.linspace(end, gp.v_star, GAP_TABLE_POINTS)
     return nodes, np.maximum.accumulate(np.asarray(_gap(f_l, f_h, nodes)))
 

@@ -1,10 +1,17 @@
 """Piecewise pricing rules and their price-distribution pushforwards.
 
 A rule is an ordered list of segments per group; each segment carries one of
-six formula kinds. Every emitted price is clamped below at cost, so a clamped
-stretch of a monotone segment shows up as an atom at cost in the pushforward
-without any segment surgery: the preimage levels route x < c to an empty
-preimage and x >= c to the unclamped preimage.
+six formula kinds. The builders of the optimal rules (p_star and the
+noisy-value p_tilde_star) also attach what the construction says of each
+branch: whether it sells, and its prices at its ends, read off the cutoffs
+and the gap levels they share. The sale pieces and the price grid read
+these, so a solve of an optimal rule inverts no gap; the benchmark rules
+and rules built by hand are searched and evaluated numerically.
+
+Every emitted price is clamped below at cost, so a clamped stretch of a
+monotone segment shows up as an atom at cost in the pushforward without any
+segment surgery: the preimage levels route x < c to an empty preimage and
+x >= c to the unclamped preimage.
 
 Segment intervals are left-closed/right-open; the cutoff displays use mixed
 weak/strict inequalities at breakpoints, which differ only on a measure-zero
@@ -21,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
-from .dist import TAIL_MASS, MarketSlice, delta, delta_inverse, gap_profile
+from .dist import TAIL_MASS, MarketSlice, _upper_gap_end, delta, delta_inverse, gap_profile
 from .errors import OutOfRange, ValidationError
 from .numerics import invert_monotone
 
@@ -42,12 +49,20 @@ CLOSED_FORM_FLIPS = ("identity", "max_with_cost", "constant", "quantile_shift")
 
 @dataclass(frozen=True)
 class Segment:
+    """One branch of a rule on [v_lo, v_hi). A rule builder may attach what
+    its construction knows: sale, whether every value of the segment buys
+    (None: sale_pieces finds where the flag flips), and end_prices, the
+    formula's prices at v_lo and v_hi before the cost clamp (None for an
+    end it does not know; an empty tuple for neither)."""
+
     theta: str
     v_lo: float
     v_hi: float
     formula: str
     params: tuple = ()
     tag: str = ""
+    sale: bool | None = None
+    end_prices: tuple = ()
 
     def __post_init__(self):
         if self.theta not in ("l", "h"):
@@ -174,41 +189,58 @@ def _preimage_level(seg: Segment, slice_: MarketSlice, x: np.ndarray, cdfs):
     return np.where(x < slice_.c - 1e-12, -np.inf, y)
 
 
-def _segments(theta, breaks, formulas, tags, params):
-    """Assemble left-closed/right-open segments, dropping empty intervals."""
+def _segments(slice_, theta, breaks, formulas, tags, params, sales=(), end_prices=()):
+    """Assemble left-closed/right-open segments between the breaks clipped
+    to the support, dropping empty intervals. sales and end_prices, where
+    given, are each segment's sale flag and its prices at its two breaks
+    as the construction knows them; an end price is kept only at a break
+    that the clipping left in place."""
+    lo, hi = slice_.support_lo, slice_.support_hi
+    clipped = [min(max(p, lo), hi) for p in breaks]
     out = []
-    for (a, b), formula, tag, prm in zip(zip(breaks[:-1], breaks[1:]), formulas, tags, params):
+    for i, (formula, tag, prm) in enumerate(zip(formulas, tags, params)):
+        a, b = clipped[i], clipped[i + 1]
         if b <= a:
             continue
-        out.append(Segment(theta=theta, v_lo=a, v_hi=b, formula=formula, params=prm, tag=tag))
+        ends = end_prices[i] if end_prices else ()
+        if ends:
+            ends = tuple(p if x == y else None for p, x, y in zip(ends, breaks[i:i + 2], (a, b)))
+        out.append(Segment(theta=theta, v_lo=a, v_hi=b, formula=formula, params=prm, tag=tag,
+                           sale=sales[i] if sales else None, end_prices=ends))
     return out
-
-
-def _clip_breaks(points, lo, hi):
-    return [min(max(p, lo), hi) for p in points]
 
 
 def _c1_segments(slice_: MarketSlice, k):
     """Five-cutoff branch structure of the region-C1 rule for a cutoff vector
-    k; the noisy-value rule reuses it with its own cutoffs."""
+    k; the noisy-value rule reuses it with its own cutoffs.
+
+    The gap-level equalities F_l(k2) = Delta(k3) + F_h(k1) = Delta(k4) =
+    Delta(k5) give the end prices: the low group's priced-out prices run
+    from k5 down the upper branch to its end U, its discounted ones from k1
+    to k3; the high group's priced-out prices run from k3 to k4 on the
+    lower branch, its discounted ones from k4 to k5."""
     lo, hi = slice_.support_lo, slice_.support_hi
     f_l, f_h = slice_.f_l, slice_.f_h
     d5 = float(delta(slice_, k.k5))
     d4 = float(delta(slice_, k.k4))
     d3 = float(delta(slice_, k.k3))
     segs = _segments(
-        "l", _clip_breaks([lo, k.k2, k.k3], lo, hi) + [hi],
+        slice_, "l", [lo, k.k2, k.k3, hi],
         ["delta_upper_inverse_of_complement", "quantile_shift", "identity"],
         ["priced-out", "discounted-shift", "full-extraction"],
         [(("level", d5),),
          (("offset", float(f_h.cdf(k.k1)) - float(f_l.cdf(k.k2))),),
          ()],
+        [False, True, True],
+        [(k.k5, _upper_gap_end(f_l, f_h)), (k.k1, k.k3), ()],
     )
     segs += _segments(
-        "h", _clip_breaks([lo, k.k1, k.k4, k.k5], lo, hi) + [hi],
+        slice_, "h", [lo, k.k1, k.k4, k.k5, hi],
         ["delta_lower_inverse_shift", "identity", "quantile_shift", "identity"],
         ["priced-out", "full-extraction", "discounted-shift", "full-extraction"],
         [(("offset", d3),), (), (("offset", d4),), ()],
+        [False, True, True, True],
+        [(k.k3, k.k4), (), (k.k4, k.k5), ()],
     )
     return segs
 
@@ -230,30 +262,39 @@ def build_p_star(slice_: MarketSlice) -> PricingRule:
             notes.append("upper-branch gap inverse caps prices at the larger 1-1e-13 quantile of the "
                          "two groups (the end of its gap table) near the priced-out boundary")
     elif region is Region.C2:
+        # the low shift's level runs from tv at eta_l to 0 at c, the high
+        # shift's from Delta(c) at eta_h to tv at c
         eta = solve_eta(slice_)
         segs = _segments(
-            "l", _clip_breaks([lo, eta.eta_l, c], lo, hi) + [hi],
+            slice_, "l", [lo, eta.eta_l, c, hi],
             ["constant", "delta_upper_inverse_of_complement", "identity"],
             ["priced-out", "priced-out-shift", "full-extraction"],
             [(("price", c),), (("level", gp.tv + float(f_l.cdf(eta.eta_l))),), ()],
+            [False, False, True],
+            [(), (gp.v_star, _upper_gap_end(f_l, f_h)), ()],
         )
         segs += _segments(
-            "h", _clip_breaks([lo, eta.eta_h, c], lo, hi) + [hi],
+            slice_, "h", [lo, eta.eta_h, c, hi],
             ["constant", "delta_lower_inverse_shift", "identity"],
             ["priced-out", "priced-out-shift", "full-extraction"],
             [(("price", c),),
              (("offset", float(delta(slice_, c)) - float(f_h.cdf(eta.eta_h))),),
              ()],
+            [False, False, True],
+            [(), (c, gp.v_star), ()],
         )
     else:
+        # the low shift's level runs from Delta(c) at the split to 0 at c >= v*
         split = float(f_l.quantile(float(f_h.cdf(c))))
         segs = _segments(
-            "l", _clip_breaks([lo, split, c], lo, hi) + [hi],
+            slice_, "l", [lo, split, c, hi],
             ["constant", "delta_upper_inverse_of_complement", "identity"],
             ["priced-out", "priced-out-shift", "full-extraction"],
             [(("price", c),), (("level", float(f_l.cdf(c))),), ()],
+            [False, False, True],
+            [(), (c, _upper_gap_end(f_l, f_h)), ()],
         )
-        segs += _segments("h", [lo, hi], ["max_with_cost"], ["full-extraction"], [()])
+        segs += _segments(slice_, "h", [lo, hi], ["max_with_cost"], ["full-extraction"], [()])
     return PricingRule(name="p_star", slice=slice_, segments=tuple(segs), notes=tuple(notes))
 
 
@@ -280,7 +321,7 @@ def build_p_anti(slice_: MarketSlice, q: float) -> PricingRule:
     vq = float(slice_.f_l.quantile(q)) if q < 1.0 else hi
     vq = min(max(vq, lo), hi)
     segs = _segments(
-        "l", [lo, vq, hi],
+        slice_, "l", [lo, vq, hi],
         ["quantile_shift", "quantile_shift"],
         ["priced-out-shift", "anti-assortative-shift"],
         [(("offset", 1.0 - q),), (("offset", -q),)],
@@ -371,14 +412,20 @@ def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistri
 
 
 def _price_grid(rule: PricingRule, slice_: MarketSlice) -> np.ndarray:
+    """A uniform price grid refined at c, v* and each segment's prices at
+    its ends (below the working cap), taken from the segment where its
+    builder attached them."""
     cap = slice_.cap()
     points = [slice_.c, gap_profile(slice_).v_star]
     for seg in rule.segments:
         hi_eff = min(seg.v_hi, cap)
         if hi_eff <= seg.v_lo:
             continue
-        points += [float(np.maximum(_eval_formula(seg, slice_, v), slice_.c))
-                   for v in (float(seg.v_lo), float(hi_eff))]
+        known = seg.end_prices or (None, None)
+        if hi_eff < seg.v_hi:
+            known = (known[0], None)
+        points += [float(np.maximum(_eval_formula(seg, slice_, v) if p is None else p, slice_.c))
+                   for v, p in zip((float(seg.v_lo), float(hi_eff)), known)]
     lo_p, hi_p = min(points), max(max(points), cap)
     grid = np.linspace(lo_p, hi_p, PRICE_GRID)
     extra = np.asarray(points, dtype=float)
@@ -400,32 +447,30 @@ def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
     """Partition each segment into maximal stretches of constant sale
     indicator (value at or above price), as (a, b, seg, sale) tuples.
 
-    On identity, cost-clamped, constant and quantile-shift segments the flag
-    can flip only at closed-form points (_flip_candidates). Gap-inverse
-    segments below cost, upper-branch ones below the gap maximizer, and
-    those whose price at v_lo already reaches the segment's end (gap-inverse
-    prices are nondecreasing) price above every value and never sell. The
-    other gap-inverse segments locate their flips on a 129-point grid,
-    bisected to adjacent floats.
+    A segment whose builder attached its sale flag (every branch of the
+    optimal rules but the cost-clamped one of C3) is one piece with that
+    flag: the flag comes from the cutoffs, so no rounding of a price can
+    contradict it. The search below serves the rest. On identity,
+    cost-clamped, constant and quantile-shift segments the flag can flip
+    only at closed-form points (_flip_candidates). Gap-inverse segments,
+    which only hand-built rules have, locate their flips on a 129-point
+    grid, bisected to adjacent floats.
     Each stretch between cuts takes the flag at its midpoint, and
     neighbours with the same flag merge. The search stops at the working
     cap: the last stretch below it runs on to infinity.
     """
-    c, cap = slice_.c, slice_.cap()
+    cap = slice_.cap()
     pieces = []
     for seg in rule.segments_for(theta):
         lo, hi_eff = float(seg.v_lo), float(min(seg.v_hi, cap))
         if hi_eff <= lo:
             continue
         end = math.inf if seg.v_hi > cap else hi_eff
+        if seg.sale is not None:
+            pieces.append((lo, end, seg, seg.sale))
+            continue
         if seg.formula in CLOSED_FORM_FLIPS:
             cuts = [lo, *sorted(_flip_candidates(seg, slice_, lo, hi_eff)), hi_eff]
-        elif (hi_eff <= c
-              or (seg.formula == "delta_upper_inverse_of_complement"
-                  and hi_eff <= gap_profile(slice_).v_star)
-              or float(_eval_formula(seg, slice_, lo)) >= hi_eff):
-            pieces.append((lo, end, seg, False))
-            continue
         else:
             cuts = _grid_flips(seg, slice_, lo, hi_eff)
         sales = ~_no_sale(seg, slice_, 0.5 * (np.asarray(cuts[:-1]) + np.asarray(cuts[1:])))

@@ -183,24 +183,27 @@ class TestValidation:
         assert err["exit_code"] == 2
         assert err["error"] in ("ValidationError", "UnsupportedConfiguration")
 
-    @pytest.mark.parametrize("edit", [
-        lambda p: p.update(sweep={"alpha_grid": ["x"]}),
-        lambda p: p.update(oracle_n=[200]),
-        lambda p: p.update(outcomes={"n_atoms": "many"}),
-        lambda p: p.update(sweep=5),
-        lambda p: p.update(figures=None),
-        lambda p: p.update(outcomes=3.5),
+    @pytest.mark.parametrize("edit, key", [
+        (lambda p: p.update(sweep={"alpha_grid": ["x"]}), "sweep.alpha_grid[0]"),
+        (lambda p: p.update(oracle_n=[200]), "oracle_n"),
+        (lambda p: p.update(outcomes={"n_atoms": "many"}), "outcomes.n_atoms"),
+        (lambda p: p.update(sweep=5), "'sweep'"),
+        (lambda p: p.update(figures=None), "'figures'"),
+        (lambda p: p.update(outcomes=3.5), "'outcomes'"),
     ], ids=["grid-entry", "oracle-n", "n-atoms",
             "sweep-not-object", "figures-null", "outcomes-not-object"])
-    def test_non_numeric_config_value_is_config_error(self, tmp_path, edit):
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, edit, key):
+        """solve, which exits 0 on the unedited config, rejects each edited
+        value by name: every section is validated whichever command runs."""
         payload = json.loads(json.dumps(BASE_CONFIG))
         edit(payload)
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
-        assert run(cfg, "sweep", out_dir=out) == 2
+        assert run(cfg, "solve", out_dir=out) == 2
         err = json.loads((out / "error.json").read_text())
         assert err["exit_code"] == 2
         assert err["error"] == "ValidationError"
+        assert key in err["message"]
 
     @pytest.mark.parametrize("edit", [
         lambda doc: "{not json",
@@ -275,17 +278,17 @@ class TestVerify:
         assert float(rows[0]["min_dual_slack"]) >= -1e-6
 
     @pytest.mark.parametrize("eps", [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7,
-                                     1e-7, 3e-8, 3e-9, 1e-9, 1e-10, 1e-11])
+                                     1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 1e-10, 1e-11])
     def test_near_identical_groups_certify(self, tmp_path, eps):
         """exp(1) vs exp(1 + eps): the total variation is about 0.37 eps and
         the chord k5 - k4 is of that order. Solved for k5 with k1, k3 read
         off k5 - k4, 3e-3 and 1e-4 ended in ConsistencyError and 1e-5 and
-        3e-8 in NoConvergence. Every eps that certifies is listed: sale flags
-        sit at sub-ulp margins here, so an ulp-level change of rounding in
-        the distributions can fail strong duality (math.expm1 in place of
-        np.expm1 for scalar cdfs fails 1e-6). eps = 1e-8 still fails it on
-        such a margin, and at 1e-12 the gap falls below the DegenerateSlice
-        threshold; neither is listed."""
+        3e-8 in NoConvergence. Prices sit within an ulp of values here: on
+        the high group's discounted band the price lies below v by far less
+        than one ulp. Sale flags tested numerically at such margins failed
+        strong duality at 1e-8; the optimal rule's flags now come from its
+        cutoffs. At 1e-12 the gap falls below the DegenerateSlice threshold,
+        so it is not listed."""
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["f_h"]["mean"] = 1.0 + eps
         cfg = write_config(tmp_path, payload)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import mixture_slice, narrow_slice, scaled12_slice
 from fairprice.cutoffs import Region, classify_region, solve_eta, solve_kappa, solve_kappa_tilde
-from fairprice.dist import Exponential, ExponentialMixture, MarketSlice, ScaledFamily, gap_profile
+from fairprice.dist import Exponential, ExponentialMixture, MarketSlice, ScaledFamily, _gap_table, gap_profile
 from fairprice.errors import OutOfRange, ValidationError
 from fairprice.pricing import (
     FORMULAS,
@@ -396,32 +396,20 @@ def _constructed_rules(s):
     return rules
 
 
-def _gap_inverse_searched(rule, s) -> bool:
-    """Whether some gap-inverse segment of the rule may sell: not below
-    cost, and not an upper-branch one below the gap maximizer."""
-    for seg in rule.segments:
-        hi = min(seg.v_hi, s.cap())
-        if seg.formula.startswith("delta") and hi > seg.v_lo and hi > s.c and not (
-                seg.formula == "delta_upper_inverse_of_complement" and hi <= gap_profile(s).v_star):
-            return True
-    return False
-
-
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
 @pytest.mark.parametrize("kind, cost", [("exp", 0.0), ("exp", 0.25), ("exp", 1.0), ("exp", 2.0),
                                         ("mix", 0.0), ("mix", 0.1), ("cost", 0.0), ("cost", 1.0)])
 def test_sale_pieces_partition_by_the_sale_flag(kind, cost, scale, monkeypatch):
     """Every piece's flag holds at 32 interior points (price <= value, up to
-    rounding of the price), pieces of one segment alternate in flag, and the
-    flag search by grid and bisection runs only where a gap-inverse segment
-    may sell."""
+    rounding of the price), the flags the optimal rules carry from their
+    cutoffs included; pieces of one segment alternate in flag, and no
+    constructed rule reaches the flag search by grid and bisection."""
     s = _sale_slice(kind, scale, cost)
     searches = []
     monkeypatch.setattr("fairprice.pricing._grid_flips",
                         lambda *a: searches.append(a[2:]) or _grid_flips(*a))
     cap = s.cap()
-    for rule in _sale_rules(s):
-        before = len(searches)
+    for rule in _constructed_rules(s):
         for theta in ("l", "h"):
             pieces = sale_pieces(rule, s, theta)
             assert pieces[0][0] == s.support_lo and math.isinf(pieces[-1][1])
@@ -439,8 +427,7 @@ def test_sale_pieces_partition_by_the_sale_flag(kind, cost, scale, monkeypatch):
                     assert np.all(price <= v + slack), (rule.name, theta, a, b, seg.tag)
                 else:
                     assert np.all(price > v - slack), (rule.name, theta, a, b, seg.tag)
-        if not _gap_inverse_searched(rule, s):
-            assert len(searches) == before, rule.name
+    assert searches == []
 
 
 def test_grid_flips_cut_at_adjacent_floats():
@@ -488,7 +475,8 @@ def test_anti_assortative_sale_stretch_below_the_lower_root():
 def test_c1_priced_out_high_segment_skips_the_flag_grid(s, monkeypatch):
     """C1 p_star's high-group priced-out segment Delta_lo^-1(F_h(v) + Delta(k3))
     on [lo, k1) starts at price k3 >= k1 and is nondecreasing, so it never
-    sells; one price evaluation settles it without the 129-point grid."""
+    sells; it carries that flag from the cutoffs and never reaches the
+    129-point grid."""
     def grid_flips(*args, **kwargs):
         raise AssertionError("flag grid reached")
 
@@ -499,3 +487,75 @@ def test_c1_priced_out_high_segment_skips_the_flag_grid(s, monkeypatch):
         pieces = sale_pieces(rule, s, theta)
         assert all(not sale for _, _, seg, sale in pieces if seg.tag == "priced-out")
     assert pieces[0][2].formula == "delta_lower_inverse_shift"  # the high group's first segment
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("kind, cost", [("exp", 0.0), ("exp", 0.25), ("exp", 1.0), ("exp", 2.0),
+                                        ("mix", 0.0), ("mix", 0.1), ("cost", 0.0), ("cost", 1.0)])
+def test_attached_end_prices_match_the_formula(kind, cost, scale):
+    """Each end price an optimal rule carries from its cutoffs is the
+    segment's formula at that end to 1e-9 relative. An upper-branch price
+    of level 0 is the end of the gap table, where the formula's inverse
+    clamps. A price at the gap maximizer (C2's ends of level tv) is checked
+    by its level instead: the inverse there is square-root conditioned, and
+    at scale 1e-3 the formula's own root is 2e-8 off v*."""
+    s = _sale_slice(kind, scale, cost)
+    table_end = float(_gap_table(s.f_l, s.f_h, "upper")[0][0])
+    gp = gap_profile(s)
+    attached = 0
+    for rule in _constructed_rules(s):
+        for seg in rule.segments:
+            for v, price in zip((seg.v_lo, seg.v_hi), seg.end_prices):
+                if price is None:
+                    continue
+                attached += 1
+                where = (rule.name, seg.theta, seg.tag, v)
+                if price == gp.v_star:
+                    own = float((s.f_l if seg.theta == "l" else s.f_h).cdf(v))
+                    level = (seg.param("level") - own if seg.formula == "delta_upper_inverse_of_complement"
+                             else own + seg.param("offset"))
+                    assert level == pytest.approx(gp.tv, abs=1e-12), where
+                    continue
+                if seg.formula == "delta_upper_inverse_of_complement" and v == seg.v_hi:
+                    want = table_end
+                else:
+                    want = float(_eval_formula(seg, s, float(v)))
+                assert price == pytest.approx(want, rel=1e-9), where
+    assert attached >= 2
+
+
+@pytest.mark.parametrize("s", [
+    MarketSlice(c=0.0, alpha=0.37, f_l=Exponential(1.2345), f_h=Exponential(4.321)),
+    MarketSlice(c=0.0, alpha=0.6, f_l=ExponentialMixture(weights=(0.7, 0.3), means=(0.7, 3.1)),
+                f_h=ExponentialMixture(weights=(0.2, 0.8), means=(0.7, 3.1))),
+    MarketSlice(c=1.1, alpha=0.45, f_l=ScaledFamily(Exponential(1.0), 1.1),
+                f_h=ScaledFamily(Exponential(3.2), 1.1)),
+    MarketSlice(c=2.2, alpha=0.55, f_l=Exponential(1.0), f_h=Exponential(3.1)),
+], ids=["C1-exp", "C1-mix", "C2", "C3"])
+def test_optimal_rule_inverts_no_gap(s, monkeypatch):
+    """Building p_star, its welfare report and its price-cdf check call no
+    gap inverse and build no gap table: sale flags and segment-end prices
+    come from the cutoffs."""
+    import fairprice.dist as dist
+    import fairprice.welfare as welfare
+
+    calls = []
+    real_inverse, real_table = dist.delta_inverse, dist._gap_table
+
+    def counted_inverse(*args):
+        calls.append("delta_inverse")
+        return real_inverse(*args)
+
+    def counted_table(*args):
+        calls.append("_gap_table")
+        return real_table(*args)
+
+    monkeypatch.setattr(dist, "delta_inverse", counted_inverse)
+    monkeypatch.setattr(welfare, "delta_inverse", counted_inverse)
+    monkeypatch.setattr("fairprice.pricing.delta_inverse", counted_inverse)
+    monkeypatch.setattr(dist, "_gap_table", counted_table)
+    rule = build_p_star.__wrapped__(s)
+    report = welfare_report.__wrapped__(rule, s)
+    assert check_nondiscrimination(rule, s) <= NONDISCRIMINATION_TOL
+    assert abs(report.accounting_residual()) <= 1e-12
+    assert calls == []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import adaptive_gauss_legendre, bisect, gauss_legendre, invert_monotone
+from .numerics import EPS, adaptive_gauss_legendre, bisect, gauss_legendre, invert_monotone
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
@@ -74,24 +74,32 @@ def classify_region(slice_: MarketSlice) -> Region:
     return Region.C2 if slice_.c < gp.v_star else Region.C3
 
 
-def _chord_start(slice_: MarketSlice, h):
+def _chord_start(slice_: MarketSlice, h, g0=None):
     """Start g of the gap chord of length h >= 0: Delta(g + h) = Delta(g) on
-    [max(lo, v* - h), v*], where Delta(g + h) - Delta(g) falls in g. A scalar
-    h takes one Brent solve to a few ulps, an array h one vector bisection;
-    both clamp to an end where the ends differ by rounding alone (a chord
-    much shorter than the flat top of the gap)."""
+    [max(lo, v* - h), v*], where Delta(g + h) - Delta(g) falls in g. An array
+    h takes one vector bisection, a scalar h invert_monotone's safeguarded
+    Newton with slope d(g + h) - d(g), d = f_l - f_h, from g0 or else v* - h/2.
+    Newton stops once the chord is within the rounding of its cdfs, so a chord
+    too short to rise above the rounding of the gap's flat top keeps its start."""
     v_star = gap_profile(slice_).v_star
-    lo = np.maximum(slice_.support_lo, v_star - np.asarray(h, dtype=float))
+    if np.ndim(h):
+        lo = np.maximum(slice_.support_lo, v_star - np.asarray(h, dtype=float))
+        return invert_monotone(lambda g: delta(slice_, g + h) - delta(slice_, g),
+                               np.zeros(lo.shape), lo, v_star, increasing=False)
+    f_l, f_h, h = slice_.f_l, slice_.f_h, float(h)
+    lo = float(max(slice_.support_lo, v_star - h))
 
-    def chord(g):  # for a scalar g, two scalar gaps cost less than one 2-element array gap
-        return delta(slice_, g + h) - delta(slice_, g)
+    def chord_and_floor(g):
+        fl_end, fl_start = f_l.cdf(g + h), f_l.cdf(g)
+        return ((fl_end - f_h.cdf(g + h)) - (fl_start - f_h.cdf(g)),
+                4.0 * EPS * (fl_end + fl_start))
 
-    if lo.shape:
-        return invert_monotone(chord, np.zeros(lo.shape), lo, v_star, increasing=False)
-    try:
-        return bisect(chord, float(lo), v_star)
-    except NoConvergence as exc:
-        return float(lo) if exc.diagnostics["f_lo"] < 0.0 else v_star
+    def slope(g):
+        return (f_l.pdf(g + h) - f_h.pdf(g + h)) - (f_l.pdf(g) - f_h.pdf(g))
+
+    x0 = v_star - 0.5 * h if g0 is None else g0
+    return invert_monotone(chord_and_floor, 0.0, lo, v_star, increasing=False,
+                           fprime=slope, x0=min(max(x0, lo), v_star))
 
 
 def fixed_point_residual(slice_: MarketSlice, h):
@@ -125,16 +133,21 @@ def kappa_bracket(slice_: MarketSlice):
 def solve_kappa(slice_: MarketSlice) -> Kappa:
     """Solve the five-cutoff system on a C1 slice.
 
-    Constructive route: one Brent solve for the chord length h = k5 - k4 on
-    its closed-form interval (kappa_bracket), each step placing the chord
-    of length h across the gap maximizer; then k4 = g, k5 = g + h,
+    Constructive route: the chord length h = k5 - k4 is the root of the
+    fixed-point residual R on its closed-form interval (kappa_bracket),
+    found by invert_monotone's safeguarded Newton from the secant of R at
+    the interval's ends. Each residual places the chord of length h across
+    the gap maximizer (_chord_start, started from the previous iterate's
+    chord start g moved along its tangent dg/dh); then k4 = g, k5 = g + h,
     k1 = alpha h + c and k3 = alpha/(1 - alpha) h + c, exact in h, and k2
-    from the gap level at k5.
+    from the gap level at k5. With d = f_l - f_h, the chord equation gives
+    dk5/dh = d(g)/(d(g) - d(k5)), so
+    R'(h) = d(k5) dk5/dh - d(k3) alpha/(1 - alpha) - f_h(k1) alpha.
     """
     region = classify_region(slice_)
     if region is not Region.C1:
         raise WrongRegion(f"cutoff system requires region C1, slice is {region.value}")
-    alpha, c = slice_.alpha, slice_.c
+    alpha, c, f_l, f_h = slice_.alpha, slice_.c, slice_.f_l, slice_.f_h
     h_lo, h_hi = kappa_bracket(slice_)
 
     r_lo = fixed_point_residual(slice_, h_lo)
@@ -142,29 +155,45 @@ def solve_kappa(slice_: MarketSlice) -> Kappa:
     if r_lo < -KAPPA_TOL or r_hi > KAPPA_TOL:
         raise NoConvergence("fixed-point bracket has the wrong signs",
                             lo=h_lo, hi=h_hi, f_lo=r_lo, f_hi=r_hi)
+    last = {"h": None, "g": None}  # last length evaluated, its chord start, dg/dh and R'(h)
+
+    def residual_and_floor(x):
+        g0 = None if last["h"] is None else last["g"] + last["dg"] * (x - last["h"])
+        g = _chord_start(slice_, x, g0)
+        k1, k3, k5 = alpha * x + c, alpha / (1.0 - alpha) * x + c, g + x
+        d_g, d5 = f_l.pdf(g) - f_h.pdf(g), f_l.pdf(k5) - f_h.pdf(k5)
+        dg = d5 / (d_g - d5) if d_g != d5 else 0.0  # dg/dh along Delta(g + h) = Delta(g)
+        last.update(h=x, g=g, dg=dg, slope=d5 * (1.0 + dg) - f_h.pdf(k1) * alpha
+                    - (f_l.pdf(k3) - f_h.pdf(k3)) * alpha / (1.0 - alpha))
+        fl5, fl3, fh1 = f_l.cdf(k5), f_l.cdf(k3), f_h.cdf(k1)
+        return ((fl5 - f_h.cdf(k5)) - (fl3 - f_h.cdf(k3)) - fh1,
+                4.0 * EPS * (fl5 + fl3 + fh1))
+
     if r_lo <= 0.0:
         h = h_lo  # boundary root (narrow-support configurations)
     elif r_hi >= 0.0:
         h = h_hi
-    else:
-        h = bisect(lambda x: fixed_point_residual(slice_, x), h_lo, h_hi)
+    else:  # fprime is called at the length f was just evaluated at
+        h = invert_monotone(residual_and_floor, 0.0, h_lo, h_hi, increasing=False,
+                            fprime=lambda x: last["slope"],
+                            x0=h_lo + (h_hi - h_lo) * (r_lo / (r_lo - r_hi)))
 
-    k2, k4, k5, _ = _chord_cutoffs(slice_, h)
+    k2, k4, k5, _ = _chord_cutoffs(slice_, h, last["g"])
     k1 = alpha * h + c
     k3 = alpha / (1.0 - alpha) * h + c
     kappa = Kappa(k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,
                   residuals=_standard_residuals(slice_, k1, k2, k3, k4, k5))
     if not kappa.max_residual <= KAPPA_TOL:
-        raise NoConvergence("cutoff residuals exceed tolerance after bisection",
+        raise NoConvergence("cutoff residuals exceed tolerance after the chord-length solve",
                             residuals=kappa.residuals, kappa=kappa.as_tuple())
     return kappa
 
 
-def _chord_cutoffs(slice_: MarketSlice, h: float):
+def _chord_cutoffs(slice_: MarketSlice, h: float, g0=None):
     """The cutoffs that a chord length h fixes in the five-cutoff layout:
     k2 = F_l^{-1}(Delta(k5)), k4 = g and k5 = g + h at one gap level across
-    the maximizer, and that level Delta(k5)."""
-    k4 = _chord_start(slice_, h)
+    the maximizer, and that level Delta(k5); g0 starts the chord solve."""
+    k4 = _chord_start(slice_, h, g0)
     k5 = k4 + h
     d5 = float(delta(slice_, k5))
     return float(slice_.f_l.quantile(np.clip(d5, 0.0, 1.0))), k4, k5, d5
@@ -223,19 +252,19 @@ def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float,
     return quad(_tilde_integrand(slice_, shift), a, b, split=kink)
 
 
-def _tilde_band(slice_: MarketSlice, h: float):
-    """Given a candidate chord length h, with k2, k4 and k5 from _chord_cutoffs,
-    return (k2, k4, k5, d5, harmonic, middle) or report why the middle
-    equation has no usable root: 'small' below the band of such lengths (the
-    right integral is too small), 'large' above it (the k3 root would pass
-    the gap maximizer).
+def _tilde_band(slice_: MarketSlice, h: float, g0=None):
+    """Given a candidate chord length h, with k2, k4 and k5 from _chord_cutoffs
+    (its chord solve started at g0), return (k2, k4, k5, d5, harmonic,
+    middle) or report why the middle equation has no usable root: 'small'
+    below the band of such lengths (the right integral is too small),
+    'large' above it (the k3 root would pass the gap maximizer).
 
     The harmonic level is pinned by continuity of the low-side dual at the
     top cutoff: harmonic = (right integral) - h/4. The right integrand stays
     above 1/4 on [k4, k5], so the level is nonnegative.
     """
     gp = gap_profile(slice_)
-    k2, k4, k5, d5 = _chord_cutoffs(slice_, h)
+    k2, k4, k5, d5 = _chord_cutoffs(slice_, h, g0)
     harmonic = _tilde_integral(slice_, d5, k4, k5) - h / 4.0
 
     def middle(k3):
@@ -255,7 +284,8 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
 
     Brent's method solves the outer residual for the chord length h = k5 - k4
     on [0, cap - lo] (lo the support floor), reading k2, k4 and k5 from h as
-    solve_kappa does. Each evaluation solves the middle quadratic-integral
+    solve_kappa does, each chord solve started at the last chord start on
+    the band. Each evaluation solves the middle quadratic-integral
     equation for k3, reads k1 from the harmonic identity, and scores the
     remaining gap-level equality. Off the band of h on which the middle
     equation is solvable, the outer function is +1 below (h = 0 gives
@@ -272,13 +302,16 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
         raise WrongRegion("noisy-value cutoffs require region C1")
     gp = gap_profile(slice_)
 
+    last = {"g": None}  # chord start of the last length on the band
+
     def outer(h):
         """(k1..k5) and the outer residual; a point off the band gets its
         side's sign ('small' positive, 'large' negative)."""
-        band = _tilde_band(slice_, h)
+        band = _tilde_band(slice_, h, last["g"])
         if isinstance(band, str):
             return None, 1.0 if band == "small" else -1.0
         k2, k4, k5, d5, harmonic, middle = band
+        last["g"] = k4
         k3 = bisect(middle, k2, gp.v_star)
         k1 = harmonic * k2 / (k2 - harmonic)
         return (k1, k2, k3, k4, k5), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))

@@ -129,14 +129,17 @@ def _parse_market(spec: dict) -> Market:
 
 
 def _number(value, where: str, kind=float):
-    """value as a float, or as an int for kind=int; an int must be integral
-    (JSON's 1e3 reads as 1000) and not a bool."""
+    """value as a finite float, or as an int for kind=int; an int must be
+    integral (JSON's 1e3 reads as 1000) and not a bool."""
     if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
         raise ValidationError(f"{where} must be an integer, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _grid(values, where: str):

@@ -74,18 +74,14 @@ def classify_region(slice_: MarketSlice) -> Region:
     return Region.C2 if slice_.c < gp.v_star else Region.C3
 
 
-def _chord_start(slice_: MarketSlice, h, g0=None):
+def _chord_start(slice_: MarketSlice, h: float, g0=None):
     """Start g of the gap chord of length h >= 0: Delta(g + h) = Delta(g) on
-    [max(lo, v* - h), v*], where Delta(g + h) - Delta(g) falls in g. An array
-    h takes one vector bisection, a scalar h invert_monotone's safeguarded
-    Newton with slope d(g + h) - d(g), d = f_l - f_h, from g0 or else v* - h/2.
-    Newton stops once the chord is within the rounding of its cdfs, so a chord
-    too short to rise above the rounding of the gap's flat top keeps its start."""
+    [max(lo, v* - h), v*], where Delta(g + h) - Delta(g) falls in g. Found by
+    invert_monotone's safeguarded Newton with slope d(g + h) - d(g),
+    d = f_l - f_h, from g0 or else v* - h/2. Newton stops once the chord is
+    within the rounding of its cdfs, so a chord too short to rise above the
+    rounding of the gap's flat top keeps its start."""
     v_star = gap_profile(slice_).v_star
-    if np.ndim(h):
-        lo = np.maximum(slice_.support_lo, v_star - np.asarray(h, dtype=float))
-        return invert_monotone(lambda g: delta(slice_, g + h) - delta(slice_, g),
-                               np.zeros(lo.shape), lo, v_star, increasing=False)
     f_l, f_h, h = slice_.f_l, slice_.f_h, float(h)
     lo = float(max(slice_.support_lo, v_star - h))
 
@@ -104,12 +100,12 @@ def _chord_start(slice_: MarketSlice, h, g0=None):
 
 def fixed_point_residual(slice_: MarketSlice, h):
     """Residual R(h) = Delta(k5) - Delta(k3) - F_h(k1) of the scalar equation
-    pinning the chord length h = k5 - k4; vectorized. Positive at the lower
-    end of kappa_bracket and negative at the upper one, with a single sign
-    change between them."""
+    pinning the chord length h = k5 - k4; an array h is solved element by
+    element. Positive at the lower end of kappa_bracket and negative at the
+    upper one, with a single sign change between them."""
     alpha, c = slice_.alpha, slice_.c
     h = np.asarray(h, dtype=float)
-    k5 = _chord_start(slice_, h) + h
+    k5 = np.reshape([_chord_start(slice_, x) for x in h.ravel()], h.shape) + h
     out = (np.asarray(delta(slice_, k5))
            - np.asarray(delta(slice_, alpha / (1.0 - alpha) * h + c))
            - np.asarray(slice_.f_h.cdf(alpha * h + c)))

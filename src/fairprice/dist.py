@@ -5,12 +5,12 @@ between the two group cdfs, and its branch inverses. All evaluation methods
 accept scalars or numpy arrays.
 A float (np.float64 included) takes a scalar path through cdf, pdf,
 quantile and partial_mean (so gains_above) of the exponential, mixture and
-cost-scaled families, and through the gap and its branch inverse: Python
-arithmetic and the array path's numpy ufuncs on the float, with no array
-round trip. The Newton iterations of the mixture quantile and the gap
-inverse, and the bisection for the gap maximizer, run on floats step for
-step. It gives the same bits as the array path, element for element; math's
-functions differ from numpy's loops by an ulp and are not used.
+cost-scaled families, and through the gap: Python arithmetic and the array
+path's numpy ufuncs on the float, with no array round trip. The Newton
+iterations of the mixture quantile and the gap inverse, and the bisection
+for the gap maximizer, run on floats step for step. It gives the same bits
+as the array path, element for element; math's functions differ from
+numpy's loops by an ulp and are not used.
 Mixture quantiles are found by monotone Newton on the log survival function.
 Gap inverses start from a per-slice table of each branch of the gap and
 finish with safeguarded Newton steps on the density difference.
@@ -531,39 +531,24 @@ def delta_inverse(slice_: MarketSlice, q, branch: str):
     gap' = f_l - f_h inside that cell finish it, freezing once the residual
     is within 4 eps * max(F_l, F_h), the rounding floor of the gap. Levels
     beyond the table's outer end clamp to it, and |gap(result) - q| <= 1e-10
-    for any admissible q.
+    for any admissible q. A float level gives a float.
     """
     gp = gap_profile(slice_)
-    scalar = isinstance(q, float)
-    if scalar:
-        high, low = q > gp.tv + 1e-12, q < -1e-12
-    else:
-        q = np.asarray(q, dtype=float)
-        high, low = np.any(q > gp.tv + 1e-12), np.any(q < -1e-12)
-    if high:
+    q = np.asarray(q, dtype=float)
+    if np.any(q > gp.tv + 1e-12):
         raise OutOfRange(f"gap level {float(np.max(q))!r} exceeds the total variation {gp.tv!r}")
-    if low:
+    if np.any(q < -1e-12):
         raise OutOfRange("gap level must be nonnegative")
     if branch not in ("lower", "upper"):
         raise ValidationError(f"branch must be 'lower' or 'upper', got {branch!r}")
     nodes, levels = _gap_table(slice_.f_l, slice_.f_h, branch)
-    if scalar:  # the array lines below on floats; min(max(.)) is np.clip's, NaN and -0.0 kept
-        q = min(max(q, 0.0), gp.tv)
-        i = min(max(int(np.searchsorted(levels, q, side="right")) - 1, 0), GAP_TABLE_POINTS - 2)
-        l0, l1 = float(levels[i]), float(levels[i + 1])
-        w = min(max((q - l0) / (l1 - l0), 0.0), 1.0) if l1 > l0 else 0.0
-        if i == GAP_TABLE_POINTS - 2:
-            w = 1.0 - math.sqrt(1.0 - w)
-        n0, n1 = float(nodes[i]), float(nodes[i + 1])
-        lo, hi = n0 if n0 < n1 else n1, n0 if n0 > n1 else n1
-    else:
-        q = np.clip(q, 0.0, gp.tv)
-        i = np.clip(np.searchsorted(levels, q, side="right") - 1, 0, GAP_TABLE_POINTS - 2)
-        l0, l1 = levels[i], levels[i + 1]
-        w = np.clip(np.divide(q - l0, l1 - l0, out=np.zeros(q.shape), where=l1 > l0), 0.0, 1.0)
-        w = np.where(i == GAP_TABLE_POINTS - 2, 1.0 - np.sqrt(1.0 - w), w)
-        n0, n1 = nodes[i], nodes[i + 1]
-        lo, hi = np.minimum(n0, n1), np.maximum(n0, n1)
+    q = np.clip(q, 0.0, gp.tv)
+    i = np.clip(np.searchsorted(levels, q, side="right") - 1, 0, GAP_TABLE_POINTS - 2)
+    l0, l1 = levels[i], levels[i + 1]
+    w = np.clip(np.divide(q - l0, l1 - l0, out=np.zeros(q.shape), where=l1 > l0), 0.0, 1.0)
+    w = np.where(i == GAP_TABLE_POINTS - 2, 1.0 - np.sqrt(1.0 - w), w)
+    n0, n1 = nodes[i], nodes[i + 1]
+    lo, hi = np.minimum(n0, n1), np.maximum(n0, n1)
 
     def gap_and_floor(v):
         fl, fh = slice_.f_l.cdf(v), slice_.f_h.cdf(v)

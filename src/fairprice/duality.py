@@ -120,14 +120,14 @@ def _grid_points(cert: DualCertificate, dist, n: int) -> np.ndarray:
 def check_feasibility(cert: DualCertificate, slice_: MarketSlice, n: int) -> float:
     """Minimum of phi(v_l) + psi(v_h) - pair profit over an n-by-n quantile
     grid augmented with all breakpoints and their right-hand limits. Raises
-    when it dips below -1e-6."""
+    when it dips below -1e-6 or is NaN (argmin stops at the first NaN)."""
     vl = _grid_points(cert, slice_.f_l, n)
     vh = _grid_points(cert, slice_.f_h, n)
     slack = (np.asarray(cert.phi(vl))[:, None] + np.asarray(cert.psi(vh))[None, :]
              - np.asarray(pair_profit(slice_, vl[:, None], vh[None, :])))
     i, j = np.unravel_index(np.argmin(slack), slack.shape)
     min_slack = float(slack[i, j])
-    if min_slack < FEASIBILITY_FLOOR:
+    if not min_slack >= FEASIBILITY_FLOOR:
         raise InfeasibleCertificate(
             f"dual feasibility fails: slack {min_slack!r} at pair "
             f"({vl[i]!r}, {vh[j]!r})",
@@ -137,13 +137,13 @@ def check_feasibility(cert: DualCertificate, slice_: MarketSlice, n: int) -> flo
 
 def check_complementary_slackness(cert: DualCertificate, coupling: Coupling) -> float:
     """Maximum of |phi(v_l) + psi(v_h) - pair profit| over the coupling's
-    atoms. Raises when it exceeds 1e-6."""
+    atoms. Raises when it exceeds 1e-6 or is NaN."""
     slice_ = cert.slice
     gap = (np.asarray(cert.phi(coupling.v_l)) + np.asarray(cert.psi(coupling.v_h))
            - np.asarray(pair_profit(slice_, coupling.v_l, coupling.v_h)))
     i = int(np.argmax(np.abs(gap)))
     worst = float(gap[i])
-    if abs(worst) > SLACKNESS_TOL:
+    if not abs(worst) <= SLACKNESS_TOL:
         raise SlacknessViolation(
             f"complementary slackness fails: gap {worst!r} at atom "
             f"({coupling.v_l[i]!r}, {coupling.v_h[i]!r})",

@@ -5,12 +5,11 @@ integrate.
 
 All target functions here are monotone on the chosen bracket. Scalar roots
 use Brent's method, which stops once the bracket is a few ulps of the root
-wide (200-iteration cap). The vector variant runs bisection on numpy arrays
-until every bracket is two adjacent floats; given a derivative, it takes
-safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), each
-element from its own start and bracket. A float target and bracket take
-the same bisection steps on floats, and with a float start the same Newton
-steps, with no array round trip and the array path's bits. Quadrature is
+wide (200-iteration cap). invert_monotone bisects one float target until
+its bracket is two adjacent floats; given a derivative, it takes
+safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), on numpy
+arrays, each element from its own start and bracket, or on floats for a
+float target, bracket and start, with the array path's bits. Quadrature is
 one 32-node Gauss-Legendre rule: fixed inside solve loops, or adaptive (each
 panel against its two halves, to a relative tolerance, with a cap on
 pending panels) where a result is reported.
@@ -80,22 +79,20 @@ def bisect(f, lo: float, hi: float) -> float:
 
 
 def invert_monotone(f, targets, lo, hi, *, increasing: bool = True, fprime=None, x0=None):
-    """Solve f(x) = t elementwise for monotone f; targets/lo/hi broadcast.
+    """Solve f(x) = t for monotone f.
 
     Out-of-bracket targets clamp to the nearer endpoint, which is the
     behaviour the Delta-inverse callers rely on for vanishing tails.
-    Bisects until every bracket is two adjacent floats (each midpoint
-    rounds to an end), when no later step could change 0.5 * (a + b), or
-    until MAX_ITER steps. When targets, lo and hi are all floats, the
-    bisection runs on floats (_bisect_float) and a float comes back, with
-    the bits of the array path.
+    Without fprime, targets, lo and hi are one float each (an array target
+    raises TypeError) and the bracket is bisected on floats (_bisect_float).
 
-    Given a derivative fprime, each element instead runs safeguarded Newton
-    from x0, which is then required; f(x) must then return the pair
-    (f(x), err), err bounding the rounding error of f(x). See
-    _safeguarded_newton for the steps and stop rules. When targets, lo, hi
-    and x0 are all floats, the steps run on floats (_safeguarded_newton_float)
-    and a float comes back, with the bits of the array path.
+    Given a derivative fprime, targets/lo/hi broadcast and each element
+    instead runs safeguarded Newton from x0, which is then required; f(x)
+    must then return the pair (f(x), err), err bounding the rounding error
+    of f(x). See _safeguarded_newton for the steps and stop rules. When
+    targets, lo, hi and x0 are all floats, the steps run on floats
+    (_safeguarded_newton_float) and a float comes back, with the bits of
+    the array path.
     """
     if fprime is not None:
         if x0 is None:
@@ -109,34 +106,14 @@ def invert_monotone(f, targets, lo, hi, *, increasing: bool = True, fprime=None,
         out = _safeguarded_newton(f, fprime, t.ravel(), a.ravel(), b.ravel(), x.ravel(),
                                   increasing).reshape(t.shape)
         return out if out.shape else float(out)
-    if isinstance(targets, float) and isinstance(lo, float) and isinstance(hi, float):
-        return _bisect_float(f, targets, lo, hi, increasing)
-    return _bisect_array(f, targets, lo, hi, increasing)
-
-
-def _bisect_array(f, targets, lo, hi, increasing):
-    """invert_monotone's bisection on numpy arrays, all elements in step."""
-    t = np.asarray(targets, dtype=float)
-    a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
-    b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
-    # brackets can be adjacent floats only below this width; test exactly from there
-    ulp_floor = 4.0 * EPS * max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    for _ in range(MAX_ITER):
-        mid = 0.5 * (a + b)
-        if np.max(b - a, initial=0.0) <= ulp_floor and np.all((mid == a) | (mid == b)):
-            break
-        fm = np.asarray(f(mid), dtype=float)
-        below = (fm < t) if increasing else (fm > t)
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    out = 0.5 * (a + b)
-    return out if out.shape else float(out)
+    return _bisect_float(f, float(targets), float(lo), float(hi), increasing)
 
 
 def _bisect_float(f, t, a, b, increasing):
-    """_bisect_array for one float target and bracket, step for step: the same
-    ulp floor, stop test and side rule (a NaN f(mid) moves b), so the same
-    bits as the array path."""
+    """Bisection of one float bracket until it is two adjacent floats (the
+    midpoint rounds to an end), when no later step could change
+    0.5 * (a + b), or until MAX_ITER steps. A NaN f(mid) moves b."""
+    # the bracket can be adjacent floats only below this width; test exactly from there
     ulp_floor = 4.0 * EPS * max(abs(a), abs(b))
     for _ in range(MAX_ITER):
         mid = 0.5 * (a + b)

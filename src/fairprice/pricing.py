@@ -521,19 +521,17 @@ def _flip_candidates(seg: Segment, slice_: MarketSlice, lo: float, hi: float) ->
 
 
 def _grid_flips(seg: Segment, slice_: MarketSlice, lo: float, hi: float) -> list:
-    """Cuts of [lo, hi] at the sale-flag flips seen on a 129-point grid, all
-    bisected to adjacent floats at once: the search for gap-inverse segments
-    that may sell."""
+    """Cuts of [lo, hi] at the sale-flag flips seen on a 129-point grid, each
+    bisected to adjacent floats: the search for gap-inverse segments that
+    may sell."""
     grid = np.linspace(lo, hi, 129)
     flags = _no_sale(seg, slice_, grid)
-    flips = np.flatnonzero(flags[:-1] != flags[1:])
-    roots = invert_monotone(
-        lambda v: (_no_sale(seg, slice_, v) != flags[flips]).astype(float),
-        np.full(len(flips), 0.5), grid[flips], grid[flips + 1])
     cuts = [lo]
-    for root in roots:
+    for i in np.flatnonzero(flags[:-1] != flags[1:]):
+        root = invert_monotone(lambda v, flag=flags[i]: float(_no_sale(seg, slice_, v) != flag),
+                               0.5, grid[i], grid[i + 1])
         if cuts[-1] < root < hi:
-            cuts.append(float(root))
+            cuts.append(root)
     return cuts + [hi]
 
 

@@ -285,9 +285,10 @@ def test_scalar_gap_gives_the_array_bits(f_l, f_h):
 @SCALAR_PAIRS
 @pytest.mark.parametrize("branch", ["lower", "upper"])
 def test_scalar_delta_inverse_gives_the_array_bits(f_l, f_h, branch):
-    """A float level takes the table lookup and Newton on floats: the bits of
-    its element of an array call, at the table's own levels, both clips and
-    a level below the upper table's outer end (clamped there)."""
+    """A float level takes the table lookup of an array level and then
+    Newton on floats: the bits of its element of an array call, at the
+    table's own levels, both clips and a level below the upper table's outer
+    end (clamped there)."""
     s = MarketSlice(c=0.0, alpha=0.5, f_l=f_l, f_h=f_h)
     tv = gap_profile(s).tv
     levels = _gap_table(f_l, f_h, branch)[1].tolist()
@@ -429,6 +430,7 @@ def test_delta_inverse_roundtrip_property(mean_l, ratio, level):
     q = level * gp.tv
     for branch in ("lower", "upper"):
         root = delta_inverse(s, q, branch)
+        assert type(root) is float
         assert float(delta(s, root)) == pytest.approx(q, abs=1e-10)
 
 
@@ -443,8 +445,9 @@ def _bisection_inverse(s, q, branch):
             float(s.f_l.quantile(1.0 - 1e-13)), float(s.f_h.quantile(1.0 - 1e-13)))
     with pytest.MonkeyPatch.context() as mp:  # subnormal roots take over 1,000 halvings
         mp.setattr(numerics, "MAX_ITER", 2000)
-        return invert_monotone(lambda v: delta(s, v), np.clip(q, 0.0, gp.tv), lo, hi,
-                               increasing=branch == "lower")
+        return np.array([invert_monotone(lambda v: delta(s, v), level, lo, hi,
+                                         increasing=branch == "lower")
+                         for level in np.clip(q, 0.0, gp.tv).tolist()])
 
 
 @st.composite
@@ -509,8 +512,8 @@ def test_delta_inverse_evaluates_the_gap_a_few_times(s, branch, monkeypatch):
     delta_inverse(s, q, branch)
     assert 1 <= len(calls) <= 8
     calls.clear()
-    delta_inverse(s, float(q[617]), branch)  # a float level, on the scalar path
-    assert 1 <= len(calls) <= 8 and all(type(v) is float for v in calls)
+    delta_inverse(s, float(q[617]), branch)  # a float level
+    assert 1 <= len(calls) <= 8
 
 
 @pytest.mark.parametrize("s", [
@@ -543,22 +546,13 @@ def test_float_level_skips_the_array_newton(s, monkeypatch):
     (PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 1.0))),
      PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))),
 ], ids=["exp", "mixture", "scaled", "piecewise"])
-def test_gap_profile_skips_the_array_bisection(f_l, f_h, monkeypatch):
-    """v* is bisected on floats; only an array target reaches the array
-    bisection."""
-    import fairprice.numerics as numerics
-
-    def array_bisection(*args):
-        raise AssertionError("the v* search reached the array bisection")
-
-    monkeypatch.setattr(numerics, "_bisect_array", array_bisection)
+def test_gap_profile_skips_the_array_bisection(f_l, f_h):
+    """v* is bisected on floats."""
     _pair_gap_profile.cache_clear()
     gp = _pair_gap_profile(f_l, f_h)
     assert type(gp.v_star) is float and type(gp.tv) is float
     grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), 1001)
     assert gp.tv >= float(np.max(f_l.cdf(grid) - f_h.cdf(grid))) - 1e-15
-    with pytest.raises(AssertionError, match="array bisection"):
-        invert_monotone(lambda v: f_h.pdf(v) - f_l.pdf(v), np.array([0.0]), 0.5, 1.5)
 
 
 class TestMixtureNewtonQuantile:

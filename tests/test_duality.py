@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,18 @@ class TestFeasibility:
         with pytest.raises(InfeasibleCertificate) as err:
             check_feasibility(cert, exp13, 500)
         assert err.value.witness is not None
+
+    @pytest.mark.parametrize("cutoff", ["k1", "k3", "k4", "k5"])
+    def test_nan_cutoff_fails_both_checks(self, exp13, cutoff):
+        """A NaN slack is no pass: k2 aside, every cutoff shapes the duals."""
+        k = solve_kappa(exp13)
+        ks = tuple(math.nan if name == cutoff else getattr(k, name)
+                   for name in ("k1", "k2", "k3", "k4", "k5"))
+        cert = certificate_from_kappa(exp13, Kappa(*ks, residuals=_standard_residuals(exp13, *ks)))
+        with pytest.raises(InfeasibleCertificate):
+            check_feasibility(cert, exp13, 500)
+        with pytest.raises(SlacknessViolation):
+            check_complementary_slackness(cert, build_rho_star(exp13, 10_000))
 
 
 class TestComplementarySlackness:

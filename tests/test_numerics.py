@@ -49,15 +49,15 @@ class TestBrentBisect:
 
 
 def _invert_without_early_exit(f, t, lo, hi, increasing):
-    """invert_monotone's bisection run to its iteration cap only."""
-    a = np.broadcast_to(np.asarray(lo, dtype=float), t.shape).copy()
-    b = np.broadcast_to(np.asarray(hi, dtype=float), t.shape).copy()
-    for _ in range(MAX_ITER):
+    """invert_monotone's bisection on floats, run to its iteration cap only."""
+    a, b = lo, hi
+    for _ in range(numerics.MAX_ITER):
         mid = 0.5 * (a + b)
-        fm = np.asarray(f(mid), dtype=float)
-        below = (fm < t) if increasing else (fm > t)
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
+        fm = f(mid)
+        if (fm < t) if increasing else (fm > t):
+            a = mid
+        else:
+            b = mid
     return 0.5 * (a + b)
 
 
@@ -68,18 +68,21 @@ class TestInvertMonotone:
         roots = 1e5 * (1.0 + np.random.default_rng(3).uniform(-0.3, 0.3, 64))
         sign = 1.0 if increasing else -1.0
         f = lambda x: sign * np.log1p(np.asarray(x) / 7e4)
-        t = f(roots)
-        evals = []
+        for t in f(roots).tolist():
+            evals = []
 
-        def counted(x):
-            evals.append(1)
-            return f(x)
+            def counted(x):
+                evals.append(1)
+                return f(x)
 
-        got = invert_monotone(counted, t, 1.0, 1e6, increasing=increasing)
-        want = _invert_without_early_exit(f, t, 1.0, 1e6, increasing)
-        assert got.tobytes() == want.tobytes()
-        assert len(evals) < MAX_ITER
-        assert invert_monotone(f, float(t[0]), 1.0, 1e6, increasing=increasing) == want[0]
+            got = invert_monotone(counted, t, 1.0, 1e6, increasing=increasing)
+            want = _invert_without_early_exit(f, t, 1.0, 1e6, increasing)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert len(evals) < MAX_ITER
+
+    def test_array_target_needs_a_derivative(self):
+        with pytest.raises(TypeError):
+            invert_monotone(lambda x: x, np.array([0.2, 0.5]), 0.0, 1.0)
 
 
 def _nan_above_half(x):
@@ -102,10 +105,10 @@ def _nan_above_half(x):
 ], ids=["increasing", "decreasing", "clamp-lo", "clamp-hi", "decreasing-clamp-lo",
         "decreasing-clamp-hi", "nan", "scale-1e6", "straddles-0", "cap-at-0", "lo-equals-hi",
         "max-iter-3"])
-def test_float_bisection_gives_the_array_bits(f, t, lo, hi, increasing, max_iter, monkeypatch):
+def test_float_bisection_gives_the_run_to_cap_bits(f, t, lo, hi, increasing, max_iter, monkeypatch):
     """A float target and bracket bisect on floats (f sees Python floats) and
-    give the bytes of the same call with a 0-d target, which takes the array
-    path: the ulp floor, stop test, NaN side and iteration cap agree."""
+    stop early with the bytes of the loop run to its iteration cap: the ulp
+    floor, stop test, NaN side and iteration cap agree."""
     monkeypatch.setattr(numerics, "MAX_ITER", max_iter)
     seen = []
 
@@ -114,8 +117,8 @@ def test_float_bisection_gives_the_array_bits(f, t, lo, hi, increasing, max_iter
         return f(x)
 
     got = invert_monotone(traced, t, lo, hi, increasing=increasing)
-    want = invert_monotone(f, np.asarray(t), lo, hi, increasing=increasing)
-    assert type(got) is float and type(want) is float
+    want = _invert_without_early_exit(f, t, lo, hi, increasing)
+    assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert set(seen) <= {float}
 
@@ -135,7 +138,7 @@ class TestInvertMonotoneNewton:
             return self.cubic(x)
 
         got = invert_monotone(counted, t, 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0, x0=1.5)
-        want = invert_monotone(lambda x: self.cubic(x)[0], t, 0.0, 3.0)
+        want = [invert_monotone(lambda x: self.cubic(x)[0], v, 0.0, 3.0) for v in t.tolist()]
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         assert len(evals) <= 12
         assert [invert_monotone(self.cubic, float(v), 0.0, 3.0, fprime=lambda x: 3.0 * x ** 2 + 1.0,

@@ -33,7 +33,6 @@ from .matching import (
     build_rho_tilde,
     coupling_welfare,
     mix_for_target_surplus,
-    sample_pairs,
 )
 from .oracle import AssignmentInstance, discretize, oracle_gap, oracle_gap_tilde, solve_assignment
 from .pricing import (

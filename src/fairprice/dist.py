@@ -12,6 +12,9 @@ for the gap maximizer, run on floats step for step. It gives the same bits
 as the array path, element for element; math's functions differ from
 numpy's loops by an ulp and are not used.
 Mixture quantiles are found by monotone Newton on the log survival function.
+A value pair is scanned on one grid: the likelihood-ratio check compares the
+two densities there, and the cell where they cross brackets the gap
+maximizer, which is then bisected on floats.
 Gap inverses start from a per-slice table of each branch of the gap and
 finish with safeguarded Newton steps on the density difference.
 
@@ -390,9 +393,6 @@ class MarketSlice:
     def cap(self) -> float:
         return max(self.f_l.cap(), self.f_h.cap())
 
-    def grid(self, n: int = GRID_POINTS) -> np.ndarray:
-        return np.linspace(self.support_lo, self.cap(), n)
-
 
 @dataclass(frozen=True)
 class Market:
@@ -433,15 +433,24 @@ def _check_common_support(f_l: ValueDistribution, f_h: ValueDistribution) -> Non
 
 
 @lru_cache(maxsize=128)
-def _check_likelihood_ratio_order(f_l, f_h) -> None:
-    """Raise ValidationError unless f_h / f_l is nondecreasing on the grid.
-    A pair that passes is cached (slices that share it skip the grid); a
+def _check_likelihood_ratio_order(f_l, f_h) -> tuple:
+    """Raise ValidationError unless f_h / f_l is nondecreasing on the grid;
+    else return the grid cell (lo, hi) that brackets the gap maximizer.
+
+    The gap's slope f_l - f_h then changes sign once, so the cell ends at
+    the first interior node where f_h >= f_l (the densities compared
+    directly, before the ratio is cut at its terminal infinite run), or is
+    the last cell if there is none. A pair that passes is cached (slices
+    that share it skip the grid, and _pair_gap_profile reads the cell); a
     pair that fails raises on every call, since lru_cache keeps no exception."""
     lo = f_l.support_lo
     hi = max(f_l.cap(), f_h.cap())
-    v = np.linspace(lo, hi, GRID_POINTS)[1:-1]
+    grid = np.linspace(lo, hi, GRID_POINTS)
+    v = grid[1:-1]
     dl = np.asarray(f_l.pdf(v))
     dh = np.asarray(f_h.pdf(v))
+    rising = dh >= dl
+    j = int(np.argmax(rising)) if rising.any() else v.size
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dl > 0, dh / dl, np.inf)
     finite = np.isfinite(ratio)
@@ -454,6 +463,7 @@ def _check_likelihood_ratio_order(f_l, f_h) -> None:
     scale = np.maximum(np.abs(ratio[:-1]), 1.0)
     if np.any(np.diff(ratio) < -1e-9 * scale):
         raise ValidationError("likelihood-ratio order violated: density ratio decreases on the support grid")
+    return float(grid[j]), float(grid[j + 1])
 
 
 def delta(slice_: MarketSlice, v):
@@ -478,21 +488,18 @@ def gap_profile(slice_: MarketSlice) -> GapProfile:
 
 @lru_cache(maxsize=128)
 def _pair_gap_profile(f_l: ValueDistribution, f_h: ValueDistribution) -> GapProfile:
-    """The gap is quasi-concave, so its grid argmax brackets the maximizer,
-    pinned to adjacent floats by the sign change of the gap's slope f_l - f_h
-    (also where piecewise densities cross by a jump), bisected on floats with
-    two scalar pdfs per step. Without a sign change in the bracket the
-    bisection clamps to the end where, by the likelihood-ratio order, the gap
-    is larger, or onto a flat top."""
-    grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), GRID_POINTS)
-    gaps = np.asarray(_gap(f_l, f_h, grid))
-    tv_grid = float(np.max(gaps))
-    if tv_grid < 1e-12:
+    """The gap is quasi-concave, and the likelihood-ratio scan's cell
+    brackets its maximizer. There the sign change of the gap's slope
+    f_l - f_h (also where piecewise densities cross by a jump) is bisected
+    to adjacent floats with two scalar pdfs per step. Without a sign change
+    in the cell the bisection clamps to the end where, by the
+    likelihood-ratio order, the gap is larger, or onto a flat top."""
+    lo, hi = _check_likelihood_ratio_order(f_l, f_h)
+    v_star = invert_monotone(lambda v: f_h.pdf(v) - f_l.pdf(v), 0.0, lo, hi)
+    tv = float(_gap(f_l, f_h, v_star))
+    if tv < 1e-12:
         raise DegenerateSlice("group distributions are numerically identical (gap below 1e-12)")
-    i = int(np.argmax(gaps))
-    v_star = invert_monotone(lambda v: f_h.pdf(v) - f_l.pdf(v), 0.0,
-                             float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)]))
-    return GapProfile(v_star=v_star, tv=float(_gap(f_l, f_h, v_star)))
+    return GapProfile(v_star=v_star, tv=tv)
 
 
 @lru_cache(maxsize=128)

@@ -1,13 +1,10 @@
 """Couplings with fixed group marginals: the optimal matching kernels, the
-surplus-free alternative kernel, convex mixtures between them, and sampling.
+surplus-free alternative kernel and convex mixtures between them.
 
 Couplings are materialized atomically: the high-group distribution is
 discretized into n equal-mass quantile atoms and each atom is pushed through
 the regime map of the kernel. Atoms above the top cutoff split into two
 points with density-ratio weights.
-
-Randomness: sampling uses numpy's default PCG64 generator, seeded per call;
-distinct seeds give independent streams, so concurrent sampling is safe.
 """
 
 from __future__ import annotations
@@ -204,15 +201,6 @@ def coupling_welfare(slice_: MarketSlice, coupling: Coupling):
     cs_l = float(np.sum(w * np.maximum(coupling.v_l - price, 0.0)))
     cs_h = float(np.sum(w * np.maximum(coupling.v_h - price, 0.0)))
     return profit, cs_l, cs_h
-
-
-def sample_pairs(coupling: Coupling, m: int, seed: int) -> np.ndarray:
-    """m i.i.d. (v_l, v_h) draws by atom weight; deterministic given seed."""
-    if m < 1:
-        raise ValidationError(f"need at least one draw, got {m}")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(coupling), size=m, p=coupling.w / coupling.w.sum())
-    return np.column_stack([coupling.v_l[idx], coupling.v_h[idx]])
 
 
 def optimal_support_distance(slice_: MarketSlice, v_l, v_h):

@@ -53,7 +53,7 @@ class TestDelta:
         assert delta(exp13, gp.v_star) == pytest.approx(TV_13, abs=1e-12)
 
     def test_bounded_on_grid(self, exp13):
-        vals = np.asarray(delta(exp13, exp13.grid()))
+        vals = np.asarray(delta(exp13, np.linspace(exp13.support_lo, exp13.cap(), 10_001)))
         assert np.all(vals >= -1e-12) and np.all(vals <= 1.0)
 
 
@@ -73,11 +73,11 @@ class TestGapProfile:
             gap_profile(s)
 
     def test_tv_matches_grid_supremum(self, exp13):
-        grid_sup = float(np.max(delta(exp13, exp13.grid())))
+        grid_sup = float(np.max(delta(exp13, np.linspace(exp13.support_lo, exp13.cap(), 10_001))))
         assert abs(gap_profile(exp13).tv - grid_sup) <= 1e-6
 
     def test_quasiconcave_on_grid(self, exp13):
-        vals = np.asarray(delta(exp13, exp13.grid(2001)))
+        vals = np.asarray(delta(exp13, np.linspace(exp13.support_lo, exp13.cap(), 2001)))
         rng = np.random.default_rng(3)
         idx = np.sort(rng.choice(len(vals), size=(500, 3), replace=True), axis=1)
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
@@ -132,6 +132,18 @@ def test_gap_maximizer_is_found_to_adjacent_floats(scale):
     gp = gap_profile(s)
     assert gp.v_star == pytest.approx(math.log(2.0) * scale, rel=1e-13)
     assert gp.tv == pytest.approx(0.125, abs=1e-15)
+
+
+def test_near_identical_gap_maximizer_is_not_rounding_noise():
+    """For exp(1) vs exp(1 + 1e-11) the gap varies by less than its rounding
+    over the grid cells around v*, so a grid argmax of the gap lands on
+    noise (it bracketed v* in [0.99472, 0.99932]); the sign change of the
+    slope f_l - f_h still sits at the analytic maximizer
+    m_l m_h ln(m_h / m_l) / (m_h - m_l)."""
+    m_l, m_h = 1.0, 1.0 + 1e-11
+    s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(m_l), f_h=Exponential(m_h))
+    v_star = m_l * m_h * math.log(m_h / m_l) / (m_h - m_l)
+    assert abs(gap_profile(s).v_star - v_star) <= 1e-5
 
 
 def _piecewise_pair(knots_l, knots_h):
@@ -546,10 +558,18 @@ def test_float_level_skips_the_array_newton(s, monkeypatch):
     (PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 1.0))),
      PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))),
 ], ids=["exp", "mixture", "scaled", "piecewise"])
-def test_gap_profile_skips_the_array_bisection(f_l, f_h):
-    """v* is bisected on floats."""
+def test_gap_profile_bisects_on_floats_in_the_scan_cell(f_l, f_h, monkeypatch):
+    """v* is bisected on floats inside the cell of the likelihood-ratio
+    scan, so a cold profile makes one grid pass per pair: no cdf is
+    evaluated on an array of 1,000 points or more."""
+    sizes = []
+    for cls in (Exponential, ExponentialMixture, ScaledFamily, PiecewiseLinearCdf):
+        monkeypatch.setattr(cls, "cdf", lambda self, v, cdf=cls.cdf: sizes.append(np.size(v)) or cdf(self, v))
+    _check_likelihood_ratio_order.cache_clear()
     _pair_gap_profile.cache_clear()
     gp = _pair_gap_profile(f_l, f_h)
+    assert sizes and max(sizes) < 1000
+    monkeypatch.undo()
     assert type(gp.v_star) is float and type(gp.tv) is float
     grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), 1001)
     assert gp.tv >= float(np.max(f_l.cdf(grid) - f_h.cdf(grid))) - 1e-15

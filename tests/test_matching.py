@@ -12,7 +12,6 @@ from fairprice.matching import (
     coupling_welfare,
     mix_for_target_surplus,
     optimal_support_distance,
-    sample_pairs,
 )
 from fairprice.welfare import pair_profit, surplus_closed_forms, welfare_report
 from fairprice.pricing import build_p_star
@@ -129,35 +128,6 @@ class TestSupportStructure:
         gap = (np.asarray(cert.phi(rho.v_l)) + np.asarray(cert.psi(rho.v_h))
                - np.asarray(pair_profit(exp13, rho.v_l, rho.v_h)))
         assert float(np.max(np.abs(gap))) <= 1e-6
-
-
-class TestSampling:
-    def test_single_atom_coupling_repeats(self):
-        coupling = Coupling(v_l=np.array([1.0]), v_h=np.array([2.0]),
-                            w=np.array([1.0]), source="unit")
-        draws = sample_pairs(coupling, 7, seed=3)
-        assert draws.shape == (7, 2)
-        assert np.all(draws == [1.0, 2.0])
-
-    def test_deterministic_given_seed(self, exp13):
-        rho = build_rho_star(exp13, 500)
-        a = sample_pairs(rho, 1000, seed=42)
-        b = sample_pairs(rho, 1000, seed=42)
-        assert np.array_equal(a, b)
-        c = sample_pairs(rho, 1000, seed=43)
-        assert not np.array_equal(a, c)
-
-    def test_empirical_marginals(self, exp13):
-        rho = build_rho_star(exp13, 4000)
-        draws = sample_pairs(rho, 100_000, seed=0)
-        w = np.full(len(draws), 1.0 / len(draws))
-        assert ks_distance(draws[:, 0], w, exp13.f_l) <= 0.01
-        assert ks_distance(draws[:, 1], w, exp13.f_h) <= 0.01
-
-    def test_requires_positive_draws(self, exp13):
-        rho = build_rho_star(exp13, 100)
-        with pytest.raises(ValidationError):
-            sample_pairs(rho, 0, seed=1)
 
 
 class TestCouplingValidation:

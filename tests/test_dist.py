@@ -551,13 +551,17 @@ def test_float_level_skips_the_array_newton(s, monkeypatch):
         delta_inverse(s, np.array([0.3 * tv]), "lower")
 
 
-@pytest.mark.parametrize("f_l, f_h", [
+ONE_PASS_PAIRS = [
     (Exponential(1.0), Exponential(3.0)),
     (MIX2_L, MIX2_H),
     (ScaledFamily(Exponential(1.0), 1.7), ScaledFamily(Exponential(3.0), 1.7)),
     (PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.6), (2.0, 1.0))),
      PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 0.3), (2.0, 1.0)))),
-], ids=["exp", "mixture", "scaled", "piecewise"])
+]
+ONE_PASS_IDS = ["exp", "mixture", "scaled", "piecewise"]
+
+
+@pytest.mark.parametrize("f_l, f_h", ONE_PASS_PAIRS, ids=ONE_PASS_IDS)
 def test_gap_profile_bisects_on_floats_in_the_scan_cell(f_l, f_h, monkeypatch):
     """v* is bisected on floats inside the cell of the likelihood-ratio
     scan, so a cold profile makes one grid pass per pair: no cdf is
@@ -573,6 +577,47 @@ def test_gap_profile_bisects_on_floats_in_the_scan_cell(f_l, f_h, monkeypatch):
     assert type(gp.v_star) is float and type(gp.tv) is float
     grid = np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), 1001)
     assert gp.tv >= float(np.max(f_l.cdf(grid) - f_h.cdf(grid))) - 1e-15
+
+
+def _scan_grid(f_l, f_h):
+    return np.linspace(f_l.support_lo, max(f_l.cap(), f_h.cap()), 10_001)
+
+
+@pytest.mark.parametrize("f_l, f_h", ONE_PASS_PAIRS, ids=ONE_PASS_IDS)
+def test_scan_cell_is_the_grid_cell_where_f_h_reaches_f_l(f_l, f_h):
+    """The cell is two adjacent grid nodes: f_h < f_l at its interior left
+    end, f_h >= f_l at its interior right end, and v* lies inside it."""
+    grid = _scan_grid(f_l, f_h)
+    lo, hi = _check_likelihood_ratio_order(f_l, f_h)
+    j = int(np.searchsorted(grid, lo))
+    assert (grid[j], grid[j + 1]) == (lo, hi)
+    if j > 0:
+        assert f_h.pdf(lo) < f_l.pdf(lo)
+    if j + 1 < grid.size - 1:
+        assert f_h.pdf(hi) >= f_l.pdf(hi)
+    assert lo <= _pair_gap_profile(f_l, f_h).v_star <= hi
+
+
+def test_scan_cell_is_the_last_when_no_interior_node_crosses():
+    """f_h outweighs f_l only past the last interior node: the cell is the
+    last one, and v* is the knot where f_h's density jumps up."""
+    f_l = PiecewiseLinearCdf(knots=((0.0, 0.0), (1.0, 1.0)))
+    f_h = PiecewiseLinearCdf(knots=((0.0, 0.0), (0.99995, 0.5), (1.0, 1.0)))
+    grid = _scan_grid(f_l, f_h)
+    assert _check_likelihood_ratio_order(f_l, f_h) == (grid[-2], grid[-1])
+    gp = _pair_gap_profile(f_l, f_h)
+    assert gp.v_star == pytest.approx(0.99995, abs=1e-12)
+    assert gp.tv == pytest.approx(0.99995 - 0.5, abs=1e-12)
+
+
+def test_identical_pair_scan_cell_is_the_first():
+    """f_h >= f_l already at the first interior node, so the cell is the
+    first one; the gap at v* is 0 there and the profile is degenerate."""
+    f = Exponential(1.0)
+    grid = _scan_grid(f, f)
+    assert _check_likelihood_ratio_order(f, f) == (grid[0], grid[1])
+    with pytest.raises(DegenerateSlice):
+        _pair_gap_profile(f, f)
 
 
 class TestMixtureNewtonQuantile:

@@ -4,9 +4,16 @@ A rule is an ordered list of segments per group; each segment carries one of
 six formula kinds. The builders of the optimal rules (p_star and the
 noisy-value p_tilde_star) also attach what the construction says of each
 branch: whether it sells, and its prices at its ends, read off the cutoffs
-and the gap levels they share. The sale pieces and the price grid read
+and the gap levels they share. The sale pieces and the price cells read
 these, so a solve of an optimal rule inverts no gap; the benchmark rules
 and rules built by hand are searched and evaluated numerically.
+
+Each formula's preimage level is a gated affine form in the two group cdfs
+(_level_form), so a price cdf needs the group cdfs at the price alone.
+Between the prices where a gate switches or a segment's level leaves its
+mass, the gap between the groups' price cdfs is a F_l + b F_h + const; the
+non-discrimination checks take its supremum exactly on these cells
+(_sup_gap), with no price grid.
 
 Every emitted price is clamped below at cost, so a clamped stretch of a
 monotone segment shows up as an atom at cost in the pushforward without any
@@ -42,7 +49,6 @@ FORMULAS = (
 )
 
 NONDISCRIMINATION_TOL = 1e-6
-PRICE_GRID = 10_001
 # formulas whose sale flag flips only at closed-form points (_flip_candidates)
 CLOSED_FORM_FLIPS = ("identity", "max_with_cost", "constant", "quantile_shift")
 
@@ -158,35 +164,30 @@ def _eval_formula(seg: Segment, slice_: MarketSlice, v):
     raise ValidationError(seg.formula)
 
 
-def _group_cdfs(slice_: MarketSlice, x: np.ndarray):
-    """F_l(x) and F_h(x) as float arrays: the two group cdfs on the price
-    points, evaluated once for every segment of both groups."""
-    return np.asarray(slice_.f_l.cdf(x)), np.asarray(slice_.f_h.cdf(x))
+def _level_form(seg: Segment, slice_: MarketSlice) -> tuple:
+    """The segment's preimage level as a gated affine form (a, b, k, lo, hi):
+    {v : price(v) <= x} = {v : F_own(v) <= y(x)} on the segment, where
+    y(x) = a F_l(x) + b F_h(x) + k for lo <= x < hi, -inf (an empty set)
+    for x < lo and +inf (the whole segment) for x >= hi.
 
-
-def _preimage_level(seg: Segment, slice_: MarketSlice, x: np.ndarray, cdfs):
-    """Own-group cdf level y(x) with {v : price(v) <= x} = {v : F_own(v) <= y(x)}
-    on the segment: -inf when that set is empty, +inf when it is everything.
-
-    Every non-constant formula composes nondecreasing maps of F_own(v), so the
-    set is a lower set and its level needs no quantile: the partner cdf minus
-    the offset, the level minus the gap, or the gap minus the offset. All are
-    read from cdfs, the group cdfs on x (_group_cdfs); F_l(x) - F_h(x) is the
-    gap as dist.delta computes it."""
-    cdf_l, cdf_h = cdfs
-    own, partner = (cdf_l, cdf_h) if seg.theta == "l" else (cdf_h, cdf_l)
+    Every non-constant formula composes nondecreasing maps of F_own(v), so
+    the set is a lower set and its level needs no quantile: the own cdf, the
+    partner cdf minus the offset, the level minus the gap, or the gap minus
+    the offset. The gap inverses' branches meet at v*, a constant price is a
+    gate alone, and prices are clamped at cost, so nothing is priced below c."""
+    c = slice_.c
+    own = (1.0, 0.0) if seg.theta == "l" else (0.0, 1.0)
     if seg.formula == "constant":
-        y = np.where(x >= max(seg.param("price"), slice_.c) - 1e-12, np.inf, -np.inf)
-    elif seg.formula in ("identity", "max_with_cost"):
-        y = own
-    elif seg.formula == "quantile_shift":
-        y = partner - seg.param("offset")
-    elif seg.formula == "delta_upper_inverse_of_complement":
-        y = np.where(x < gap_profile(slice_).v_star - 1e-12, -np.inf, seg.param("level") - (cdf_l - cdf_h))
-    else:
-        y = np.where(x >= gap_profile(slice_).v_star, np.inf, (cdf_l - cdf_h) - seg.param("offset"))
-    # prices are clamped at cost: below-cost queries have empty preimages
-    return np.where(x < slice_.c - 1e-12, -np.inf, y)
+        at = max(seg.param("price"), c)
+        return 0.0, 0.0, 0.0, at, at
+    if seg.formula in ("identity", "max_with_cost"):
+        return *own, 0.0, c, math.inf
+    if seg.formula == "quantile_shift":
+        return own[1], own[0], -seg.param("offset"), c, math.inf
+    v_star = gap_profile(slice_).v_star
+    if seg.formula == "delta_upper_inverse_of_complement":
+        return -1.0, 1.0, seg.param("level"), max(v_star, c), math.inf
+    return 1.0, -1.0, -seg.param("offset"), c, v_star
 
 
 def _segments(slice_, theta, breaks, formulas, tags, params, sales=(), end_prices=()):
@@ -360,38 +361,62 @@ def build_perfect_discrimination(slice_: MarketSlice) -> PricingRule:
 class PriceDistribution:
     """Pushforward of a group's value distribution through a pricing rule:
     each segment contributes the own-cdf mass below its preimage level
-    (_preimage_level); constant or clamped stretches contribute atoms."""
+    (_level_form); constant or clamped stretches contribute atoms."""
 
     rule: PricingRule
     theta: str
     atoms: tuple
 
     def cdf(self, x):
-        grid = np.atleast_1d(np.asarray(x, dtype=float))
-        out = _rule_price_cdf(self.rule, self.theta, grid, _group_cdfs(self.rule.slice, grid))
-        return out if np.asarray(x).shape else float(out[0])
+        grid = np.asarray(x, dtype=float)
+        pieces = [(seg.v_lo, seg.v_hi, seg) for seg in self.rule.segments_for(self.theta)]
+        out = _pushforward(self.rule.slice, pieces, grid.ravel()).reshape(grid.shape)
+        return out if grid.shape else float(out)
 
 
-def _rule_price_cdf(rule: PricingRule, theta: str, x: np.ndarray, cdfs) -> np.ndarray:
-    """The theta-group price cdf at the prices x, summed over its segments;
-    cdfs are the group cdfs on x (_group_cdfs)."""
-    pieces = [(seg.v_lo, seg.v_hi, seg) for seg in rule.segments_for(theta)]
-    return np.clip(_pushforward(rule.slice, theta, pieces, x, cdfs), 0.0, 1.0)
+def _level_tables(slice_: MarketSlice, x: np.ndarray, weighted_sets):
+    """The group cdfs on the points x and a level table for each list of
+    weighted pieces (w, v_lo, v_hi, seg), from one cdf call per group on x
+    and the piece ends.
+
+    A table holds, as columns with a row per piece that carries own mass,
+    the piece's weight, its level form (_level_form) and its own-cdf masses
+    at its ends (1 at an unbounded one)."""
+    pieces = [p for weighted in weighted_sets for p in weighted]
+    ends = np.array([e for _, lo, hi, _ in pieces for e in (lo, hi)], dtype=float)
+    points = np.concatenate([x, ends])
+    cdf_l, cdf_h = np.asarray(slice_.f_l.cdf(points)), np.asarray(slice_.f_h.cdf(points))
+    low = np.repeat([seg.theta == "l" for *_, seg in pieces], 2)
+    own = np.where(low, cdf_l[x.size:], cdf_h[x.size:])
+    rows = np.array([(w, *_level_form(seg, slice_)) for w, _, _, seg in pieces], dtype=float)
+    table = np.column_stack([rows.reshape(-1, 6), own[::2], np.where(np.isinf(ends[1::2]), 1.0, own[1::2])])
+    tables, at = [], 0
+    for weighted in weighted_sets:
+        part, at = table[at:at + len(weighted)], at + len(weighted)
+        carries_mass = part[:, 7] > part[:, 6]
+        tables.append(tuple(col[:, None] for col in part[carries_mass].T))
+    return cdf_l[:x.size], cdf_h[:x.size], tables
 
 
-def _pushforward(slice_: MarketSlice, theta: str, pieces, x: np.ndarray, cdfs) -> np.ndarray:
-    """P(value in some piece, price <= x) for the theta-group over value
-    pieces (a, b, seg): the piece's own-cdf mass below the preimage level,
-    read from the group cdfs on x (_group_cdfs)."""
-    dist = slice_.f_l if theta == "l" else slice_.f_h
-    total = np.zeros_like(x)
-    for a, b, seg in pieces:
-        mass_lo = float(dist.cdf(a))
-        mass_hi = float(dist.cdf(b)) if math.isfinite(b) else 1.0
-        if mass_hi - mass_lo <= 0.0:
-            continue
-        total += np.clip(_preimage_level(seg, slice_, x, cdfs), mass_lo, mass_hi) - mass_lo
-    return total
+def _price_mass(table, gate_x, cdf_l, cdf_h):
+    """The table's weighted sum of each piece's own mass priced at or below
+    each point: the piece's gate read at gate_x and its affine level at the
+    group cdfs cdf_l and cdf_h, clipped to the piece's masses. Also the
+    weighted sums of the coefficients (a, b) of the levels that are live
+    and strictly inside their clip there."""
+    w, a, b, k, lo, hi, mass_lo, mass_hi = table
+    y = a * cdf_l + b * cdf_h + k
+    empty, full = gate_x < lo, gate_x >= hi
+    mass = np.where(empty, mass_lo, np.where(full, mass_hi, y.clip(mass_lo, mass_hi))) - mass_lo
+    inside = w * (~empty & ~full & (mass_lo < y) & (y < mass_hi))
+    return (w * mass).sum(axis=0), (a * inside).sum(axis=0), (b * inside).sum(axis=0)
+
+
+def _pushforward(slice_: MarketSlice, pieces, x: np.ndarray) -> np.ndarray:
+    """P(value in some piece, price <= x) over one group's value pieces
+    (v_lo, v_hi, seg) at the prices x, clipped to [0, 1]."""
+    cdf_l, cdf_h, (table,) = _level_tables(slice_, x, [[(1.0, *p) for p in pieces]])
+    return _price_mass(table, x, cdf_l, cdf_h)[0].clip(0.0, 1.0)
 
 
 def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistribution:
@@ -401,8 +426,7 @@ def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistri
     atoms = []
     for seg in rule.segments_for(theta):
         at = max(seg.param("price"), slice_.c) if seg.formula == "constant" else slice_.c
-        x = np.array([at])
-        mass = float(_pushforward(slice_, theta, [(seg.v_lo, seg.v_hi, seg)], x, _group_cdfs(slice_, x))[0])
+        mass = float(_pushforward(slice_, [(seg.v_lo, seg.v_hi, seg)], np.array([at]))[0])
         if mass > 1e-15:
             atoms.append((at, mass))
     merged = {}
@@ -411,36 +435,84 @@ def price_cdf(rule: PricingRule, slice_: MarketSlice, theta: str) -> PriceDistri
     return PriceDistribution(rule=rule, theta=theta, atoms=tuple(sorted(merged.items())))
 
 
-def _price_grid(rule: PricingRule, slice_: MarketSlice) -> np.ndarray:
-    """A uniform price grid refined at c, v* and each segment's prices at
-    its ends (below the working cap), taken from the segment where its
-    builder attached them."""
+def _price_points(slice_: MarketSlice, pieces) -> list:
+    """The prices that cut the price axis into cells for value pieces
+    (v_lo, v_hi, seg) of both groups: c, v*, the working cap and each
+    piece's prices at its ends below the cap, where a piece's level leaves
+    its clip. At its segment's own end, a piece takes the price the builder
+    attached there, if any; other ends are evaluated."""
     cap = slice_.cap()
-    points = [slice_.c, gap_profile(slice_).v_star]
-    for seg in rule.segments:
-        hi_eff = min(seg.v_hi, cap)
-        if hi_eff <= seg.v_lo:
+    points = [slice_.c, gap_profile(slice_).v_star, cap]
+    for lo, hi, seg in pieces:
+        hi_eff = min(hi, cap)
+        if hi_eff <= lo:
             continue
         known = seg.end_prices or (None, None)
-        if hi_eff < seg.v_hi:
-            known = (known[0], None)
-        points += [float(np.maximum(_eval_formula(seg, slice_, v) if p is None else p, slice_.c))
-                   for v, p in zip((float(seg.v_lo), float(hi_eff)), known)]
-    lo_p, hi_p = min(points), max(max(points), cap)
-    grid = np.linspace(lo_p, hi_p, PRICE_GRID)
-    extra = np.asarray(points, dtype=float)
-    eps = 1e-9 * max(1.0, hi_p)
-    return np.unique(np.concatenate([grid, extra, extra - eps, extra + eps]))
+        for v, end, p in ((lo, seg.v_lo, known[0]), (hi_eff, seg.v_hi, known[1])):
+            points.append(_eval_formula(seg, slice_, float(v)) if p is None or v != end else p)
+    return points
+
+
+def _sup_gap(slice_: MarketSlice, points: list, piece_sets) -> float:
+    """Supremum over prices x of |P_l(x) - P_h(x)|, the largest over the
+    sets of value pieces (v_lo, v_hi, seg) of both groups, with P_theta the
+    theta-group's mass in the set's pieces priced at or below x
+    (_pushforward).
+
+    The points, clamped at cost, cut the price axis into cells, and the top
+    point is a cell of its own. Every gate switches at a point (c, v* or a
+    constant's price), so each piece's gate is read at the cell midpoint.
+    A live piece's level is then evaluated at both cell ends and clipped to
+    its masses: that is the value at the left end and the left limit at the
+    right one, with no epsilon. Since the points hold each piece's end
+    prices, a level leaves its clip only at a cell end, so on a cell
+    P_l - P_h is a F_l + b F_h + const, with (a, b) the summed coefficients
+    of the levels strictly inside their clip at the midpoint. The
+    likelihood-ratio order lets its slope a f_l + b f_h change sign at most
+    once in a cell; where both a and b are nonzero, that root is bisected
+    to adjacent floats, as a sale flag's flip is (_grid_flips)."""
+    bp = np.unique(np.maximum(np.asarray(points, dtype=float), slice_.c))
+    n = bp.size
+    mid = 0.5 * (bp[:-1] + bp[1:])
+    weighted_sets = [[(1.0 if seg.theta == "l" else -1.0, lo, hi, seg) for lo, hi, seg in pieces]
+                     for pieces in piece_sets]
+    cdf_l, cdf_h, tables = _level_tables(slice_, np.concatenate([bp, mid]), weighted_sets)
+    # columns: each cell's left end, its right end, then the midpoints
+    cols = np.concatenate([np.arange(n), np.arange(1, n), [n - 1], np.arange(n, 2 * n - 1)])
+    gate = np.concatenate([mid, bp[-1:], mid, bp[-1:], mid])
+    fl, fh = cdf_l[cols], cdf_h[cols]
+    sup = 0.0
+    for table in tables:
+        gap, a, b = _price_mass(table, gate, fl, fh)
+        sup = max(sup, float(np.abs(gap).max()))
+        a, b = a[2 * n:], b[2 * n:]
+        for j in np.flatnonzero((a != 0.0) & (b != 0.0)):
+            root = _slope_root(slice_, a[j], b[j], bp[j], bp[j + 1])
+            if root is not None:
+                at_root = _price_mass(table, root, slice_.f_l.cdf(root), slice_.f_h.cdf(root))[0]
+                sup = max(sup, abs(float(at_root[0])))
+    return sup
+
+
+def _slope_root(slice_: MarketSlice, a: float, b: float, lo: float, hi: float):
+    """The sign change of a f_l + b f_h strictly between the signs at lo and
+    hi, bisected to adjacent floats; None when the signs agree."""
+    def slope(v):
+        return a * slice_.f_l.pdf(v) + b * slice_.f_h.pdf(v)
+
+    s_lo = slope(lo)
+    if not s_lo * slope(hi) < 0.0:
+        return None
+    return invert_monotone(lambda v: float((slope(v) > 0.0) != (s_lo > 0.0)), 0.5, lo, hi)
 
 
 def check_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> float:
-    """Supremum over a refined price grid of the gap between the two groups'
-    price cdfs; a rule passes when the gap is at most 1e-6. Each group's
-    value cdf is evaluated once on the grid."""
-    grid = _price_grid(rule, slice_)
-    cdfs = _group_cdfs(slice_, grid)
-    gap = _rule_price_cdf(rule, "l", grid, cdfs) - _rule_price_cdf(rule, "h", grid, cdfs)
-    return float(np.max(np.abs(gap)))
+    """Supremum over all prices of the gap between the two groups' price
+    cdfs, exact on the rule's own price cells (_sup_gap); a rule passes when
+    the gap is at most 1e-6. Each group's value cdf is evaluated once, on
+    the cell ends, their midpoints and the segment ends."""
+    segs = [(seg.v_lo, seg.v_hi, seg) for seg in rule.segments]
+    return _sup_gap(slice_, _price_points(slice_, segs), [segs])
 
 
 def sale_pieces(rule: PricingRule, slice_: MarketSlice, theta: str):
@@ -539,17 +611,11 @@ def check_outcome_nondiscrimination(rule: PricingRule, slice_: MarketSlice) -> f
     """Supremum gap between the groups' joint (price, sale) distributions;
     a rule induces non-discriminatory outcomes iff this is at most 1e-6.
     Detects the stronger outcome-level discrimination that the price cdf
-    alone cannot see."""
-    grid = _price_grid(rule, slice_)
-    cdfs = _group_cdfs(slice_, grid)
-    pieces = {theta: sale_pieces(rule, slice_, theta) for theta in ("l", "h")}
-    gap = 0.0
-    for sale in (True, False):
-        joint_l, joint_h = (
-            _pushforward(slice_, theta, [p[:3] for p in pieces[theta] if p[3] == sale], grid, cdfs)
-            for theta in ("l", "h"))
-        gap = max(gap, float(np.max(np.abs(joint_l - joint_h))))
-    return gap
+    alone cannot see. Exact on the price cells of the check above, with the
+    prices at the ends of each sale piece added to its points."""
+    pieces = [p for theta in ("l", "h") for p in sale_pieces(rule, slice_, theta)]
+    points = _price_points(slice_, [p[:3] for p in pieces])
+    return _sup_gap(slice_, points, [[p[:3] for p in pieces if p[3] == sale] for sale in (True, False)])
 
 
 def rule_to_dict(rule: PricingRule) -> dict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ks_distance
+from helpers import optimal_support_distance
 from fairprice.cutoffs import solve_kappa
 from fairprice.duality import build_duals
 from fairprice.errors import OutOfRange, ValidationError, WrongRegion
@@ -11,7 +12,6 @@ from fairprice.matching import (
     build_rho_tilde,
     coupling_welfare,
     mix_for_target_surplus,
-    optimal_support_distance,
 )
 from fairprice.welfare import pair_profit, surplus_closed_forms, welfare_report
 from fairprice.pricing import build_p_star

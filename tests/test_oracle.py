@@ -8,11 +8,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import mixture_slice, scaled12_slice
+from helpers import optimal_support_distance
 from fairprice.cutoffs import Region, classify_region, solve_kappa, solve_kappa_tilde
 from fairprice.dist import Exponential, MarketSlice, ScaledFamily
 from fairprice.duality import DualCertificate, PiecewiseAffine, build_duals, certificate_from_kappa
 from fairprice.errors import UnsupportedConfiguration, ValidationError
-from fairprice.matching import optimal_support_distance
 from fairprice.oracle import (
     AssignmentInstance,
     _multiscale_reduced_costs,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,12 +12,14 @@ from fairprice.errors import OutOfRange, ValidationError
 from fairprice.pricing import (
     FORMULAS,
     NONDISCRIMINATION_TOL,
-    PRICE_GRID,
     PricingRule,
     Segment,
+    _c1_segments,
     _eval_formula,
     _grid_flips,
-    _price_grid,
+    _level_tables,
+    _price_mass,
+    _price_points,
     build_p_anti,
     build_p_ass,
     build_p_star,
@@ -237,7 +240,10 @@ class TestPriceDistribution:
         rule = {"p_star": build_p_star, "p_tilde_star": build_p_tilde_star,
                 "perfect": build_perfect_discrimination,
                 "p_anti_half_qstar": lambda t: build_p_anti(t, 0.5 * q_star(t))}[name](s)
-        grid = _price_grid(rule, s)
+        cap = s.cap()
+        ends = [float(rule.price(seg.theta, v)) for seg in rule.segments
+                for v in (seg.v_lo, np.nextafter(min(seg.v_hi, cap), -np.inf))]
+        grid = np.unique(np.concatenate([np.linspace(s.c, cap, 10_001), np.maximum(ends, s.c)]))
         u = (np.arange(200_000) + 0.5) / 200_000
         for theta in ("l", "h"):
             dist = s.f_l if theta == "l" else s.f_h
@@ -265,23 +271,26 @@ class TestPriceDistribution:
 
 
 def test_price_check_evaluates_each_group_cdf_once(exp13, c2_slice, c3_slice, monkeypatch):
-    """check_nondiscrimination reads every segment's preimage level from one
-    grid-sized cdf call per group distribution."""
+    """check_nondiscrimination reads every segment's preimage level and mass
+    from one array cdf call per group distribution, on the rule's own price
+    cells: a few dozen points, not a uniform grid."""
     rules = [build_p_star(s) for s in (exp13, c2_slice, c3_slice)]
     rules += [build_p_ass(exp13), build_p_anti(exp13, q_star(exp13))]
     assert [classify_region(rule.slice) for rule in rules[:3]] == [Region.C1, Region.C2, Region.C3]
     calls = []
     for family in (Exponential, ExponentialMixture, ScaledFamily):
         def counted(self, v, cdf=family.cdf):
-            if np.size(v) >= PRICE_GRID:
-                calls.append(self)
+            if not isinstance(v, float):
+                calls.append((self, np.size(v)))
             return cdf(self, v)
         monkeypatch.setattr(family, "cdf", counted)
     for rule in rules:
         calls.clear()
         assert check_nondiscrimination(rule, rule.slice) <= NONDISCRIMINATION_TOL
-        assert rule.slice.f_l in calls and rule.slice.f_h in calls, rule.name
-        assert max(calls.count(d) for d in calls) == 1, rule.name
+        dists = [d for d, _ in calls]
+        assert rule.slice.f_l in dists and rule.slice.f_h in dists, rule.name
+        assert max(dists.count(d) for d in dists) == 1, rule.name
+        assert max(size for _, size in calls) < 1_000, rule.name
 
 
 class TestOutcomeNondiscrimination:
@@ -559,3 +568,84 @@ def test_optimal_rule_inverts_no_gap(s, monkeypatch):
     assert check_nondiscrimination(rule, s) <= NONDISCRIMINATION_TOL
     assert abs(report.accounting_residual()) <= 1e-12
     assert calls == []
+
+
+def _tampered_c1_rules(s):
+    """The C1 rule with each cutoff moved by a factor 1 -+ 1e-3, its sale
+    flags and end prices stripped, so that the check evaluates every end
+    price; tampers whose gap levels leave [0, tv] raise OutOfRange there."""
+    k = solve_kappa(s)
+    for name in ("k1", "k2", "k3", "k4", "k5"):
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            segs = _c1_segments(s, dataclasses.replace(k, **{name: getattr(k, name) * factor}))
+            yield PricingRule(name=f"{name}x{factor:g}", slice=s, segments=[
+                dataclasses.replace(seg, sale=None, end_prices=()) for seg in segs])
+
+
+def _dense_sups(s, piece_sets, n=1_000_000, chunk=1 << 14):
+    """|P_l - P_h| of each set of value pieces, largest on n uniform prices
+    from c to the top of the check's cells: one pointwise evaluation, in
+    chunks, that shares the group cdfs on the grid."""
+    x = np.linspace(s.c, max(_price_points(s, [p for pieces in piece_sets for p in pieces])), n)
+    weighted = [[(1.0 if seg.theta == "l" else -1.0, lo, hi, seg) for lo, hi, seg in pieces]
+                for pieces in piece_sets]
+    cdf_l, cdf_h, tables = _level_tables(s, x, weighted)
+    return [max(float(np.abs(_price_mass(table, x[i:i + chunk], cdf_l[i:i + chunk],
+                                         cdf_h[i:i + chunk])[0]).max()) for i in range(0, n, chunk))
+            for table in tables]
+
+
+def _hand_built_rules(s):
+    """Two discriminating rules whose gap peaks away from the cell ends'
+    own values: a posted price Q_h(3/4) to the low group against own
+    values to the high group, where the supremum (3/4) is the left limit at
+    that price; and own values to the low group against the high group's
+    values below Q_h(tv) priced on the upper gap branch, the rest at that
+    posted price, where the gap's supremum lies inside a cell, at
+    f_h = 2 f_l."""
+    lo, hi, tv = s.support_lo, s.support_hi, gap_profile(s).tv
+    posted, split = (("price", float(s.f_h.quantile(0.75))),), float(s.f_h.quantile(tv))
+    own = {theta: Segment(theta=theta, v_lo=lo, v_hi=hi, formula="max_with_cost") for theta in "lh"}
+    return [
+        PricingRule(name="posted", slice=s, segments=[
+            Segment(theta="l", v_lo=lo, v_hi=hi, formula="constant", params=posted), own["h"]]),
+        PricingRule(name="upper-branch", slice=s, segments=[
+            own["l"],
+            Segment(theta="h", v_lo=lo, v_hi=split, formula="delta_upper_inverse_of_complement",
+                    params=(("level", tv),)),
+            Segment(theta="h", v_lo=split, v_hi=hi, formula="constant", params=posted)]),
+    ]
+
+
+@pytest.mark.parametrize("kind, cost", [("exp", 0.0), ("mix", 0.0), ("cost", 1.0)])
+def test_cell_supremum_bounds_a_dense_grid(kind, cost):
+    """The exact supremum over the rule's own price cells is never below a
+    10^6-point uniform grid by more than 1e-15, on discriminating rules (C1
+    cutoffs tampered, perfect discrimination) and on the benchmark rules;
+    so is the outcome check on p_star and p_ass. Budget: 3 s for all three
+    cases."""
+    s = _sale_slice(kind, 1.0, cost)
+    assert classify_region(s) is Region.C1
+    fair = [build_p_ass(s), *(build_p_anti(s, q) for q in (0.0, 0.3, q_star(s), 1.0))]
+    flagged = [build_perfect_discrimination(s), *_hand_built_rules(s)]
+    for rule in _tampered_c1_rules(s):
+        try:
+            check_nondiscrimination(rule, s)
+        except OutOfRange:
+            continue
+        flagged.append(rule)
+    assert len(flagged) >= 9
+    rules = fair + flagged
+    gaps = [check_nondiscrimination(rule, s) for rule in rules]
+    assert max(gaps[:len(fair)]) <= NONDISCRIMINATION_TOL < min(gaps[len(fair):])
+    assert gaps[len(fair)] == pytest.approx(gap_profile(s).tv, abs=1e-12)
+    sets = [[(seg.v_lo, seg.v_hi, seg) for seg in rule.segments] for rule in rules]
+    outcome_rules = (build_p_star(s), build_p_ass(s))
+    for rule in outcome_rules:
+        pieces = [p for theta in ("l", "h") for p in sale_pieces(rule, s, theta)]
+        sets += [[p[:3] for p in pieces if p[3] == sale] for sale in (True, False)]
+        gaps.append(check_outcome_nondiscrimination(rule, s))
+    dense = _dense_sups(s, sets)
+    dense = dense[:len(rules)] + [max(dense[i:i + 2]) for i in range(len(rules), len(dense), 2)]
+    for rule, gap, sup in zip([*rules, *outcome_rules], gaps, dense):
+        assert gap >= sup - 1e-15, rule.name

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import MarketSlice, delta, gap_profile
 from .errors import NoConvergence, UnsupportedConfiguration, WrongRegion
-from .numerics import EPS, adaptive_gauss_legendre, bisect, gauss_legendre, invert_monotone
+from .numerics import EPS, adaptive_gauss_legendre, gauss_legendre, invert_monotone
 
 KAPPA_TOL = 1e-8
 KAPPA_TILDE_TOL = 1e-7
@@ -227,50 +227,104 @@ def solve_eta(slice_: MarketSlice) -> Eta:
 
 
 def _tilde_integrand(slice_: MarketSlice, shift: float):
-    """Integrand z -> (b/(z+b))^2 with b the shifted equal-quantile image."""
+    """Integrand z -> the rows (I, dI/ds): I(z; s) = (b/(z+b))^2 with b the
+    shifted equal-quantile image F_h^{-1}(F_l(z) - s), and its shift slope
+    dI/ds = -2bz/((z+b)^3 f_h(b)), as db/ds = -1/f_h(b) where the level is
+    not clipped and 0 where it is."""
     f_l, f_h = slice_.f_l, slice_.f_h
 
     def integrand(z):
-        q = np.clip(np.asarray(f_l.cdf(z)) - shift, 0.0, 1.0 - 1e-15)
+        level = np.asarray(f_l.cdf(z)) - shift
+        q = np.clip(level, 0.0, 1.0 - 1e-15)
         b = np.asarray(f_h.quantile(q))
+        zb = z + b
         with np.errstate(invalid="ignore", divide="ignore"):
-            val = np.where(z + b > 0, (b / (z + b)) ** 2, 0.0)
-        return val
+            val = np.where(zb > 0, (b / zb) ** 2, 0.0)
+            slope = np.where((zb > 0) & (q == level), -2.0 * b * z / (zb ** 3 * f_h.pdf(b)), 0.0)
+        return np.array([val, slope])
 
     return integrand
 
 
-def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float,
-                    quad=gauss_legendre) -> float:
-    """The tilde integrand on [a, b] by the rule quad, split at the kink
-    F_l^{-1}(shift) where the clipped quantile leaves zero."""
+def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float, adaptive=False):
+    """The tilde integrand on [a, b], split at the kink F_l^{-1}(shift) where
+    the clipped quantile leaves zero: both rows, the integral and its shift
+    slope, by the fixed rule in one pass, or the integral alone by the
+    adaptive rule."""
+    integrand = _tilde_integrand(slice_, shift)
     kink = float(slice_.f_l.quantile(min(max(shift, 0.0), 1.0)))
-    return quad(_tilde_integrand(slice_, shift), a, b, split=kink)
+    if adaptive:
+        return adaptive_gauss_legendre(lambda z: integrand(z)[0], a, b, split=kink)
+    return gauss_legendre(integrand, a, b, split=kink) if b > a else np.zeros(2)
 
 
-def _tilde_band(slice_: MarketSlice, h: float, g0=None):
+def _tilde_middle(slice_: MarketSlice, k2: float, harmonic: float, k3: float):
+    """The middle equation at k3, k3/4 - (integral on [k2, k3] at shift
+    Delta(k3)) - harmonic, with its rounding floor and its slope in k3,
+    1/4 - I(k3; Delta(k3)) - d(k3) (shift slope's integral), d = f_l - f_h.
+    The first two terms of the slope cancel: b(k3) = F_h^{-1}(F_h(k3)) = k3."""
+    inner, dinner = _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3)
+    d3 = float(slice_.f_l.pdf(k3)) - float(slice_.f_h.pdf(k3))
+    return k3 / 4.0 - inner - harmonic, 4.0 * EPS * (k3 / 4.0 + inner + harmonic), -d3 * dinner
+
+
+def _tilde_band(slice_: MarketSlice, h: float, g0=None, k3_0=None):
     """Given a candidate chord length h, with k2, k4 and k5 from _chord_cutoffs
-    (its chord solve started at g0), return (k2, k4, k5, d5, harmonic,
-    middle) or report why the middle equation has no usable root: 'small'
-    below the band of such lengths (the right integral is too small),
-    'large' above it (the k3 root would pass the gap maximizer).
+    (its chord solve started at g0), solve the middle equation for k3 by
+    Newton from k3_0 (else v*) and read k1 from the harmonic identity.
+    Returns ((k1, ..., k5), R(h) = Delta(k5) - Delta(k3) - F_h(k1), its
+    rounding floor, R'(h), dg/dh, dk3/dh), or why the middle equation has no
+    usable root: 'small' below the band of such lengths (the right integral
+    is too small), 'large' above it (the k3 root would pass v*).
 
-    The harmonic level is pinned by continuity of the low-side dual at the
-    top cutoff: harmonic = (right integral) - h/4. The right integrand stays
-    above 1/4 on [k4, k5], so the level is nonnegative.
+    The harmonic level H = (right integral) - h/4 pins continuity of the
+    low-side dual at the top cutoff; the right integrand stays above 1/4 on
+    [k4, k5], so H >= 0. The middle equation rises in k3: its sign at k2 is
+    closed-form, and its sign at the start picks the other end to check.
+    R'(h) = d(k5) dk5/dh - d(k3) dk3/dh - f_h(k1) dk1/dh, through the chord's
+    dk5/dh = d(g)/(d(g) - d(k5)), dk2/dh = d(k5) dk5/dh / f_l(k2), Leibniz's
+    rule on H (its end terms cancel: I = 1/4 at k4 and k5), the implicit
+    dk3/dh and dk1/dh = (H' k2^2 - H^2 k2') / (k2 - H)^2.
     """
-    gp = gap_profile(slice_)
+    f_l, f_h, v_star = slice_.f_l, slice_.f_h, gap_profile(slice_).v_star
     k2, k4, k5, d5 = _chord_cutoffs(slice_, h, g0)
-    harmonic = _tilde_integral(slice_, d5, k4, k5) - h / 4.0
+    right, dright = _tilde_integral(slice_, d5, k4, k5)
+    harmonic = right - h / 4.0
+    if k2 / 4.0 - harmonic > 0.0:  # the middle equation at k2, where its integral vanishes
+        return "small"
+    if harmonic >= k2:
+        return "large"
+    evals = {}  # k3 -> (middle, floor, slope), so no point is integrated twice
 
     def middle(k3):
-        return k3 / 4.0 - _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3) - harmonic
+        if k3 not in evals:
+            evals[k3] = _tilde_middle(slice_, k2, harmonic, k3)
+        return evals[k3][:2]
 
-    if middle(k2) > 0.0:
-        return "small"
-    if middle(gp.v_star) < 0.0 or harmonic >= k2:
+    x0 = v_star if k3_0 is None else min(max(k3_0, k2), v_star)
+    below = middle(x0)[0] < 0.0  # the root lies above the start
+    if below and (x0 == v_star or middle(v_star)[0] < 0.0):
         return "large"
-    return k2, k4, k5, d5, harmonic, middle
+    k3 = invert_monotone(middle, 0.0, *((x0, v_star) if below else (k2, x0)),
+                         fprime=lambda x: evals[x][2], x0=x0)
+    middle(k3)  # the last Newton iterate, evaluated unless the run hit its cap
+    dmiddle = evals[k3][2]
+    k1 = harmonic * k2 / (k2 - harmonic)
+    delta3, fh1 = float(delta(slice_, k3)), float(f_h.cdf(k1))
+
+    def d(x):
+        return float(f_l.pdf(x)) - float(f_h.pdf(x))
+
+    d_g, d_5 = d(k4), d(k5)
+    dg = d_5 / (d_g - d_5) if d_g != d_5 else 0.0  # dg/dh along Delta(g + h) = Delta(g)
+    dd5 = d_5 * (1.0 + dg)  # dDelta(k5)/dh
+    dk2 = dd5 / float(f_l.pdf(k2))
+    dharmonic = dd5 * dright
+    i2 = float(_tilde_integrand(slice_, delta3)(k2)[0])
+    dk3 = (dharmonic - i2 * dk2) / dmiddle if dmiddle != 0.0 else 0.0
+    dk1 = (dharmonic * k2 * k2 - harmonic * harmonic * dk2) / (k2 - harmonic) ** 2
+    return ((k1, k2, k3, k4, k5), d5 - delta3 - fh1, 4.0 * EPS * (d5 + delta3 + fh1),
+            dd5 - d(k3) * dk3 - float(f_h.pdf(k1)) * dk1, dg, dk3)
 
 
 @lru_cache(maxsize=128)
@@ -278,48 +332,47 @@ def solve_kappa_tilde(slice_: MarketSlice) -> Kappa:
     """Cutoffs for the noisy-value variant (values uniform on [0, 2v]),
     solved for the c = 0, alpha = 1/2 specialization only.
 
-    Brent's method solves the outer residual for the chord length h = k5 - k4
-    on [0, cap - lo] (lo the support floor), reading k2, k4 and k5 from h as
-    solve_kappa does, each chord solve started at the last chord start on
-    the band. Each evaluation solves the middle quadratic-integral
-    equation for k3, reads k1 from the harmonic identity, and scores the
-    remaining gap-level equality. Off the band of h on which the middle
+    invert_monotone's safeguarded Newton solves _tilde_band's outer residual
+    for the chord length h = k5 - k4 on [0, cap - lo] (lo the support floor)
+    from 1.5 v*; each band's chord start and k3 start from the last band's,
+    moved along their tangents. Off the band of h on which the middle
     equation is solvable, the outer function is +1 below (h = 0 gives
-    k4 = k5 = v*) and -1 above (h = cap - lo puts k5 at or beyond the cap);
-    inside, the residual falls through zero, so the interval brackets one
-    sign change. The solve loop integrates with the fixed Gauss-Legendre
-    rule; the residuals reported and checked are recomputed by its adaptive
-    composite, which is relative.
+    k4 = k5 = v*) and -1 above (h = cap - lo puts k5 at or beyond the cap),
+    with no slope, so Newton bisects there; inside, the residual falls
+    through zero, so the interval brackets one sign change. Each rounding
+    floor is 4 eps times the summed magnitudes of its residual's terms. The
+    solve loop integrates with the fixed Gauss-Legendre rule; the residuals
+    reported and checked are recomputed by its adaptive composite, which is
+    relative.
     """
     if abs(slice_.c) > 1e-12 or abs(slice_.alpha - 0.5) > 1e-12:
         raise UnsupportedConfiguration(
             "noisy-value cutoffs are only derived for c = 0 and alpha = 1/2")
     if classify_region(slice_) is not Region.C1:
         raise WrongRegion("noisy-value cutoffs require region C1")
-    gp = gap_profile(slice_)
+    v_star = gap_profile(slice_).v_star
+    last = {"h": None, "slope": None}  # last on-band length, band, tangents; last slope
 
-    last = {"g": None}  # chord start of the last length on the band
-
-    def outer(h):
-        """(k1..k5) and the outer residual; a point off the band gets its
-        side's sign ('small' positive, 'large' negative)."""
-        band = _tilde_band(slice_, h, last["g"])
+    def residual_and_floor(x):
+        starts = (None, None) if last["h"] is None else (
+            last["g"] + last["dg"] * (x - last["h"]), last["k3"] + last["dk3"] * (x - last["h"]))
+        band = _tilde_band(slice_, x, *starts)
         if isinstance(band, str):
-            return None, 1.0 if band == "small" else -1.0
-        k2, k4, k5, d5, harmonic, middle = band
-        last["g"] = k4
-        k3 = bisect(middle, k2, gp.v_star)
-        k1 = harmonic * k2 / (k2 - harmonic)
-        return (k1, k2, k3, k4, k5), d5 - float(delta(slice_, k3)) - float(slice_.f_h.cdf(k1))
+            last["slope"] = np.nan
+            return 1.0 if band == "small" else -1.0, 0.0
+        sol, r, floor, last["slope"], dg, dk3 = band
+        last.update(h=x, sol=sol, g=sol[3], dg=dg, k3=sol[2], dk3=dk3)
+        return r, floor
 
-    h = bisect(lambda x: outer(x)[1], 0.0, slice_.cap() - slice_.support_lo)
-    sol, _ = outer(h)
-    if sol is None:
+    h_hi = slice_.cap() - slice_.support_lo
+    h = invert_monotone(residual_and_floor, 0.0, 0.0, h_hi, increasing=False,
+                        fprime=lambda x: last["slope"], x0=min(1.5 * v_star, h_hi))
+    if h != last["h"]:
         raise NoConvergence("outer root collapsed onto an infeasible point", h=h)
-    k1, k2, k3, k4, k5 = sol
+    k1, k2, k3, k4, k5 = last["sol"]
 
-    inner = _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3, adaptive_gauss_legendre)
-    right = _tilde_integral(slice_, float(delta(slice_, k5)), k4, k5, adaptive_gauss_legendre)
+    inner = _tilde_integral(slice_, float(delta(slice_, k3)), k2, k3, adaptive=True)
+    right = _tilde_integral(slice_, float(delta(slice_, k5)), k4, k5, adaptive=True)
     harmonic = k1 * k2 / (k1 + k2)
     kappa = Kappa(
         k1=k1, k2=k2, k3=k3, k4=k4, k5=k5,

@@ -3,16 +3,18 @@
 change of its slope), `gauss_legendre` and `adaptive_gauss_legendre`
 integrate.
 
-All target functions here are monotone on the chosen bracket. Scalar roots
-use Brent's method, which stops once the bracket is a few ulps of the root
-wide (200-iteration cap). invert_monotone bisects one float target until
-its bracket is two adjacent floats; given a derivative, it takes
-safeguarded Newton steps instead (rtsafe, Numerical Recipes 9.4), on numpy
-arrays, each element from its own start and bracket, or on floats for a
-float target, bracket and start, with the array path's bits. Quadrature is
-one 32-node Gauss-Legendre rule: fixed inside solve loops, or adaptive (each
-panel against its two halves, to a relative tolerance, with a cap on
-pending panels) where a result is reported.
+All target functions here are monotone on the chosen bracket. bisect is
+Brent's method, which stops once the bracket is a few ulps of the root wide
+(200-iteration cap); it serves the uniform-price maximum alone.
+invert_monotone bisects one float target until its bracket is two adjacent
+floats; given a derivative, it takes safeguarded Newton steps instead
+(rtsafe, Numerical Recipes 9.4), on numpy arrays, each element from its own
+start and bracket, or on floats for a float target, bracket and start, with
+the array path's bits. Quadrature is one 32-node Gauss-Legendre rule: fixed
+inside solve loops, where one pass can integrate a stack of rows (a value
+and its derivative), or adaptive (each panel against its two halves, to a
+relative tolerance, with a cap on pending panels) where a result is
+reported.
 """
 
 from __future__ import annotations
@@ -207,21 +209,27 @@ def _panels(a: float, b: float, split):
 
 
 def _rule_on_panels(f, lo, hi):
-    """The 32-node rule on each panel [lo_i, hi_i], all nodes in one f call."""
+    """The 32-node rule on each panel [lo_i, hi_i], all nodes in one f call;
+    an f that returns a stack of rows, one value per node in each, gets a
+    stack of per-panel rows."""
     nodes, weights = _gauss_legendre_rule()
     half = 0.5 * (hi - lo)[:, None]
     xs = 0.5 * (lo + hi)[:, None] + half * nodes
-    return np.sum(half * weights * np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape), axis=1)
+    values = np.asarray(f(xs.ravel()), dtype=float)
+    return np.sum(half * weights * values.reshape(values.shape[:-1] + xs.shape), axis=-1)
 
 
-def gauss_legendre(f, a: float, b: float, *, split=None) -> float:
+def gauss_legendre(f, a: float, b: float, *, split=None):
     """Fixed 32-node Gauss-Legendre quadrature of a vectorized integrand on
     [a, b], exact for polynomials of degree <= 63. A split point inside (a, b)
     (a kink of the integrand) gets the rule on each side; every node goes to
-    f in one call."""
+    f in one call. A float for a scalar integrand; an integrand that returns
+    a stack of rows gets an array of their integrals, each with the bits of
+    that row integrated alone. An empty interval gives 0.0."""
     if b <= a:
         return 0.0
-    return float(np.sum(_rule_on_panels(f, *_panels(a, b, split))))
+    total = np.sum(_rule_on_panels(f, *_panels(a, b, split)), axis=-1)
+    return total if total.shape else float(total)
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, *, split=None) -> float:

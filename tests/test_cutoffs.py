@@ -373,25 +373,75 @@ class TestSolveKappaTilde:
         # only the residual certificate runs the adaptive quadrature
         assert len(calls) <= 2
 
-    @pytest.mark.parametrize("m", [2.0, 3.0, 5.0])
-    def test_outer_solve_needs_no_band_search(self, m, monkeypatch):
-        """One Brent solve in the chord length h on [0, cap - lo]: a walk up
-        from v* to bracket the band of solvable top cutoffs made 36-41 band
-        evaluations here."""
+    def test_outer_solve_needs_no_band_search(self, monkeypatch):
+        """Newton in the chord length h on [0, cap - lo] and in each k3, every
+        integral taken with its shift slope: over 61 m in [2, 5] and the
+        pinned m below, each solve makes at most 10 band evaluations (4-6
+        here) and 40 fixed-rule passes (18-28). Nested Brent solves made
+        14-24 and 112-224; a walk up from v* to bracket the band made 36-41
+        band evaluations."""
         import fairprice.cutoffs as cutoffs
 
-        calls = []
-        real = cutoffs._tilde_band
+        calls = {"band": 0, "rule": 0}
+        real_band, real_rule = cutoffs._tilde_band, cutoffs.gauss_legendre
 
-        def counting(*args):
-            calls.append(args[1])
-            return real(*args)
+        def counting_band(*args):
+            calls["band"] += 1
+            return real_band(*args)
 
-        monkeypatch.setattr(cutoffs, "_tilde_band", counting)
-        solve_kappa_tilde.cache_clear()
-        k = solve_kappa_tilde(MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m)))
-        assert k.max_residual <= 1e-7
-        assert len(calls) <= 24
+        def counting_rule(*args, **kwargs):
+            calls["rule"] += 1
+            return real_rule(*args, **kwargs)
+
+        monkeypatch.setattr(cutoffs, "_tilde_band", counting_band)
+        monkeypatch.setattr(cutoffs, "gauss_legendre", counting_rule)
+        for m in [*np.linspace(2.0, 5.0, 61), 2.1213818192835876]:
+            calls.update(band=0, rule=0)
+            s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(float(m)))
+            assert solve_kappa_tilde.__wrapped__(s).max_residual <= 1e-7
+            assert calls["band"] <= 10 and calls["rule"] <= 40, (m, calls)
+
+    @pytest.mark.parametrize("m", [2.0, 3.0, 5.0])
+    def test_closed_form_slopes_match_central_differences(self, m):
+        """The Newton slopes against central differences of the same
+        fixed-rule functions: each integral's shift-slope row, the middle
+        equation's slope in k3 and the outer R'(h). A wrong slope would only
+        slow the safeguarded Newton runs, so nothing else catches it."""
+        from fairprice.cutoffs import _tilde_band, _tilde_integral, _tilde_middle
+
+        def central(f, x):
+            step = 1e-5 * x
+            return (f(x + step) - f(x - step)) / (2.0 * step)
+
+        s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
+        k1, k2, k3, k4, k5 = solve_kappa_tilde(s).as_tuple()
+        v_star = gap_profile(s).v_star
+        for shift, a, b in [(float(delta(s, k5)), k4, k5), (float(delta(s, k3)), k2, k3),
+                            (float(delta(s, k3)), k2, v_star)]:
+            want = central(lambda x: _tilde_integral(s, x, a, b)[0], shift)
+            assert _tilde_integral(s, shift, a, b)[1] == pytest.approx(want, rel=1e-6)
+        harmonic = k1 * k2 / (k1 + k2)
+        for x in (k3, 0.5 * (k2 + v_star), 0.9 * v_star):
+            want = central(lambda y: _tilde_middle(s, k2, harmonic, y)[0], x)
+            assert _tilde_middle(s, k2, harmonic, x)[2] == pytest.approx(want, rel=1e-6)
+        for h in ((k5 - k4), 0.99 * (k5 - k4), 1.01 * (k5 - k4)):
+            band = _tilde_band(s, h)
+            assert not isinstance(band, str)
+            assert band[3] == pytest.approx(central(lambda x: _tilde_band(s, x)[1], h), rel=1e-6)
+
+    @pytest.mark.parametrize("m", [2.0, 2.8, 4.1])
+    def test_cutoffs_scale_bit_exactly_by_powers_of_two(self, m):
+        """exp(lam) vs exp(m lam) for lam = 2^k: the solve's starts, rounding
+        floors and stop rules are dimensionless, so each cutoff is the unit
+        scale's cutoff times lam to the bit."""
+        def cutoffs(lam):
+            s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(lam), f_h=Exponential(m * lam))
+            return solve_kappa_tilde(s).as_tuple()
+
+        base = cutoffs(1.0)
+        for k in (-20, -10, 10, 20):
+            lam = 2.0 ** k
+            assert cutoffs(lam) == tuple(lam * x for x in base)
 
     @pytest.mark.parametrize("m", [2.0, 2.1213818192835876, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0])
     def test_certificate_integral_is_tight(self, m):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import fairprice.numerics as numerics
-from fairprice.cutoffs import _tilde_band, _tilde_integrand
+from fairprice.cutoffs import _chord_cutoffs, _tilde_band, _tilde_integrand
 from fairprice.dist import Exponential, MarketSlice, delta, gap_profile
 from fairprice.errors import NoConvergence
 from fairprice.numerics import (
@@ -198,30 +198,39 @@ class TestGaussLegendre:
         f = lambda x: np.maximum(np.asarray(x) - 0.3, 0.0) ** 2
         assert gauss_legendre(f, 0.0, 1.0, split=0.3) == pytest.approx(0.7 ** 3 / 3, abs=1e-15)
 
+    def test_stacked_rows_keep_each_rows_bits(self):
+        rows = lambda x: np.array([np.exp(x), x ** 3 - x])
+        for split in (None, 0.3):
+            got = gauss_legendre(rows, 0.0, 1.0, split=split)
+            assert got.shape == (2,)
+            assert got[0] == gauss_legendre(np.exp, 0.0, 1.0, split=split)
+            assert got[1] == gauss_legendre(lambda x: x ** 3 - x, 0.0, 1.0, split=split)
+
     @pytest.mark.parametrize("m", [2.0, 3.5, 5.0])
     def test_matches_scipy_quad_on_noisy_value_integrand(self, m):
-        """The solve-loop integrals of the noisy-value cutoffs, the right one
-        on [k4, k5] and the middle one on [k2, k3], for chord lengths
-        h = k5 - k4 across the band on which the middle equation is solvable;
-        QUADPACK's adaptive Gauss-Kronrod, split at the same kink, is the
-        reference. k5 >= h, so the h grid reaches every top cutoff in
-        [v*, 2 v* + 2]."""
+        """The solve-loop integrals of the noisy-value cutoffs and their shift
+        slopes, the right ones on [k4, k5] and the middle ones on [k2, k3],
+        for chord lengths h = k5 - k4 across the band on which the middle
+        equation is solvable; QUADPACK's adaptive Gauss-Kronrod, split at the
+        same kink, is the reference. k5 >= h, so the h grid reaches every top
+        cutoff in [v*, 2 v* + 2]."""
         s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(m))
         v_star = gap_profile(s).v_star
-        band = [b for h in np.linspace(0.0, 2.0 * v_star + 2.0, 201)
-                if not isinstance(b := _tilde_band(s, h), str)]
+        band = [_chord_cutoffs(s, h) for h in np.linspace(0.0, 2.0 * v_star + 2.0, 201)
+                if not isinstance(_tilde_band(s, h), str)]
         assert len(band) >= 10
-        for k2, k4, k5, d5, _, _ in band[::3]:
+        for k2, k4, k5, d5 in band[::3]:
             cases = [(d5, k4, k5)]
             cases += [(float(delta(s, k3)), k2, k3) for k3 in np.linspace(k2, v_star, 4)[1:]]
             for shift, a, b in cases:
                 f = _tilde_integrand(s, shift)
                 kink = float(s.f_l.quantile(shift))
                 got = gauss_legendre(f, a, b, split=kink)
-                want = quad(lambda z: float(f(z)), a, b, points=[kink] if a < kink < b else None,
-                            epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                want = [quad(lambda z: float(f(z)[row]), a, b, points=[kink] if a < kink < b else None,
+                             epsabs=1e-14, epsrel=1e-13, limit=200)[0] for row in (0, 1)]
                 assert got == pytest.approx(want, abs=1e-13)
-                assert adaptive_gauss_legendre(f, a, b, split=kink) == pytest.approx(want, abs=1e-13)
+                assert adaptive_gauss_legendre(lambda z: f(z)[0], a, b, split=kink) == \
+                    pytest.approx(want[0], abs=1e-13)
 
 
 class TestAdaptiveGaussLegendre:

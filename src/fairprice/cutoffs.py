@@ -226,11 +226,11 @@ def solve_eta(slice_: MarketSlice) -> Eta:
     return Eta(eta_l=eta_l, eta_h=eta_h)
 
 
-def _tilde_integrand(slice_: MarketSlice, shift: float):
-    """Integrand z -> the rows (I, dI/ds): I(z; s) = (b/(z+b))^2 with b the
-    shifted equal-quantile image F_h^{-1}(F_l(z) - s), and its shift slope
-    dI/ds = -2bz/((z+b)^3 f_h(b)), as db/ds = -1/f_h(b) where the level is
-    not clipped and 0 where it is."""
+def _tilde_integrand(slice_: MarketSlice, shift: float, with_slope=True):
+    """Integrand z -> the rows (I, dI/ds), or I alone without the slope:
+    I(z; s) = (b/(z+b))^2 with b the shifted equal-quantile image
+    F_h^{-1}(F_l(z) - s), and its shift slope dI/ds = -2bz/((z+b)^3 f_h(b)),
+    as db/ds = -1/f_h(b) where the level is not clipped and 0 where it is."""
     f_l, f_h = slice_.f_l, slice_.f_h
 
     def integrand(z):
@@ -240,6 +240,8 @@ def _tilde_integrand(slice_: MarketSlice, shift: float):
         zb = z + b
         with np.errstate(invalid="ignore", divide="ignore"):
             val = np.where(zb > 0, (b / zb) ** 2, 0.0)
+            if not with_slope:
+                return val
             slope = np.where((zb > 0) & (q == level), -2.0 * b * z / (zb ** 3 * f_h.pdf(b)), 0.0)
         return np.array([val, slope])
 
@@ -250,11 +252,11 @@ def _tilde_integral(slice_: MarketSlice, shift: float, a: float, b: float, adapt
     """The tilde integrand on [a, b], split at the kink F_l^{-1}(shift) where
     the clipped quantile leaves zero: both rows, the integral and its shift
     slope, by the fixed rule in one pass, or the integral alone by the
-    adaptive rule."""
-    integrand = _tilde_integrand(slice_, shift)
+    adaptive rule on the value row alone."""
+    integrand = _tilde_integrand(slice_, shift, with_slope=not adaptive)
     kink = float(slice_.f_l.quantile(min(max(shift, 0.0), 1.0)))
     if adaptive:
-        return adaptive_gauss_legendre(lambda z: integrand(z)[0], a, b, split=kink)
+        return adaptive_gauss_legendre(integrand, a, b, split=kink)
     return gauss_legendre(integrand, a, b, split=kink) if b > a else np.zeros(2)
 
 
@@ -320,7 +322,7 @@ def _tilde_band(slice_: MarketSlice, h: float, g0=None, k3_0=None):
     dd5 = d_5 * (1.0 + dg)  # dDelta(k5)/dh
     dk2 = dd5 / float(f_l.pdf(k2))
     dharmonic = dd5 * dright
-    i2 = float(_tilde_integrand(slice_, delta3)(k2)[0])
+    i2 = float(_tilde_integrand(slice_, delta3, with_slope=False)(k2))
     dk3 = (dharmonic - i2 * dk2) / dmiddle if dmiddle != 0.0 else 0.0
     dk1 = (dharmonic * k2 * k2 - harmonic * harmonic * dk2) / (k2 - harmonic) ** 2
     return ((k1, k2, k3, k4, k5), d5 - delta3 - fh1, 4.0 * EPS * (d5 + delta3 + fh1),

@@ -5,7 +5,9 @@ cutoffs; pointwise feasibility phi(v_l) + psi(v_h) >= pair profit everywhere,
 plus equality on the optimal coupling's support, certifies optimality of the
 coupling and the matching pricing rule. When the low-group cdf at cost
 reaches the total variation distance the certificate degenerates to the split
-gains phi = (1-alpha)(v-c)^+, psi = alpha(v-c)^+ and full extraction.
+gains phi = (1-alpha)(v-c)^+, psi = alpha(v-c)^+ and full extraction. The
+noisy-value variant has no closed form; its pair is built from the envelope
+condition on its coupling's support as broken lines (build_duals_tilde).
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import Region, classify_region, solve_kappa
+from .cutoffs import Region, classify_region, solve_kappa, solve_kappa_tilde
 from .dist import MarketSlice
 from .errors import InfeasibleCertificate, SlacknessViolation
-from .matching import Coupling
-from .welfare import pair_profit
+from .matching import Coupling, _c1_bands
+from .welfare import pair_profit, tilde_pair_profit
 
 FEASIBILITY_FLOOR = -1e-6
 SLACKNESS_TOL = 1e-6
 STRONG_DUALITY_RTOL = 1e-9
+TILDE_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,12 @@ class PiecewiseAffine:
 
     def branch_integral(self, dist, lo: float, hi: float) -> float:
         """Exact integral of f against a distribution with partial moments."""
+        breaks = np.asarray(self.breaks)
         points = [lo] + [b for b in self.breaks if lo < b < hi] + [hi]
         total = 0.0
         for a, b in zip(points[:-1], points[1:]):
             mid = 0.5 * (a + b) if math.isfinite(b) else a + 1.0
-            i = int(np.searchsorted(np.asarray(self.breaks), mid, side="left"))
+            i = int(np.searchsorted(breaks, mid, side="left"))
             cdf_b = 1.0 if math.isinf(b) else float(dist.cdf(b))
             total += (self.slopes[i] * float(dist.partial_mean(a, b))
                       + self.intercepts[i] * (cdf_b - float(dist.cdf(a))))
@@ -61,7 +65,7 @@ class PiecewiseAffine:
 @dataclass(frozen=True)
 class DualCertificate:
     slice: MarketSlice
-    regime: str  # "C1" or "degenerate"
+    regime: str  # "C1", "degenerate" or "tilde" (the noisy-value variant)
     phi: PiecewiseAffine
     psi: PiecewiseAffine
 
@@ -105,6 +109,62 @@ def certificate_from_kappa(slice_: MarketSlice, k) -> DualCertificate:
         ),
     )
     return DualCertificate(slice=slice_, regime="C1", phi=phi, psi=psi)
+
+
+def _interpolant(x, y) -> PiecewiseAffine:
+    """The broken line through (x_i, y_i), x increasing, extended past both
+    ends along its end segments."""
+    slopes = np.diff(y) / np.diff(x)
+    return PiecewiseAffine(breaks=tuple(x[1:-1].tolist()), slopes=tuple(slopes.tolist()),
+                           intercepts=tuple((y[:-1] - slopes * x[:-1]).tolist()))
+
+
+def _tilde_profit_slope(v_l, v_h):
+    """Partial in v_h of the noisy pair profit max(v_l/4, v_h/4, joint):
+    (v_l/(v_l + v_h))^2 on the joint branch (v_h/3 <= v_l <= 3 v_h), 1/4 on
+    the v_h/4 branch and 0 on the v_l/4 branch."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        joint = (v_l / (v_l + v_h)) ** 2
+    return np.where(3.0 * v_l < v_h, 0.25, np.where(v_l > 3.0 * v_h, 0.0, joint))
+
+
+def build_duals_tilde(slice_: MarketSlice) -> DualCertificate:
+    """Dual pair of the noisy-value matching (c = 0, alpha = 1/2) from the
+    envelope condition on the support of its coupling, the C1 regime map T
+    at the noisy cutoffs (matching._c1_bands). psi' (v_h) is the partial in
+    v_h of the pair profit at (T(v_h), v_h), psi its trapezoid integral from
+    the support floor over the f_h quantiles (i - 1/2)/TILDE_NODES split at
+    the band ends k1, k3, k4 and k5, and phi(T(x)) = profit(T(x), x) - psi(x)
+    at every node x. Above k5 each node pairs with itself and with its
+    anti-assortative partner; where partners of several bands overlap, phi
+    takes their upper envelope. Both are broken lines through the nodes."""
+    k = solve_kappa_tilde(slice_)
+    bands, tail_start, anti = _c1_bands(slice_, k)
+    q = (np.arange(TILDE_NODES) + 0.5) / TILDE_NODES
+    nodes = np.asarray(slice_.f_h.quantile(q), dtype=float)
+    lower, level = slice_.support_lo, 0.0
+    top = 2.0 * max(nodes[-1], tail_start)  # past every node: psi is affine above k5
+    psi_x, psi_y, partners = [], [], []
+    for upper, regime_map in bands + [(top, lambda x: x)]:  # the diagonal above k5
+        x = np.concatenate([[lower], nodes[(nodes > lower) & (nodes < upper)], [upper]])
+        u = np.asarray(regime_map(x), dtype=float)
+        g = _tilde_profit_slope(u, x)
+        y = level + np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(x))])
+        psi_x.append(x)
+        psi_y.append(y)
+        partners.append((u, tilde_pair_profit(u, x) - y))
+        level, lower = y[-1], upper
+    u = np.asarray(anti(x), dtype=float)  # the anti-assortative partners above k5
+    partners.append((u, tilde_pair_profit(u, x) - y))
+    x, y = np.concatenate(psi_x), np.concatenate(psi_y)
+    keep = np.concatenate([[True], np.diff(x) > 0.0])  # band ends appear twice
+    u_all = np.unique(np.concatenate([u for u, _ in partners]))
+    phi_y = np.full(u_all.shape, -np.inf)
+    for u, v in partners:  # each band's partners increase along its nodes
+        inside = (u_all >= u[0]) & (u_all <= u[-1])
+        phi_y[inside] = np.maximum(phi_y[inside], np.interp(u_all[inside], u, v))
+    return DualCertificate(slice=slice_, regime="tilde", phi=_interpolant(u_all, phi_y),
+                           psi=_interpolant(x[keep], y[keep]))
 
 
 def _grid_points(cert: DualCertificate, dist, n: int) -> np.ndarray:

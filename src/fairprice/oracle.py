@@ -15,11 +15,12 @@ wrong one only slows the solve. On exp(1) vs exp(3) the warm start takes an
 n = 800 solve from 0.27 s to 0.017 s and an n = 1600 one from 2.8 s to
 0.16 s (best of 3, 2-core host).
 
-Without a usable certificate the potentials come from a cold solve on every
-4th atom pair, interpolated to the fine atoms (a multiscale start; Merigot
-2011, Schmitzer 2016). On the noisy objective, exp(1) vs exp(m), m in [2, 5],
-it takes an n = 400 solve from 70-80 ms to 9-14 ms and an n = 800 one from
-0.36-0.55 s to 0.05-0.13 s (best of 3, 2-core host).
+The noisy objective has no closed-form duals; duality.build_duals_tilde
+builds them from the envelope condition on its coupling's support. On
+exp(1) vs exp(m), m in [2, 5], building and using them takes an n = 400
+solve from 43-78 ms cold to 3-8 ms and an n = 800 one from 0.34-0.38 s to
+0.010-0.028 s (best of 3, 2-core host). Without a usable certificate (none,
+or a non-finite one) the solve is cold.
 
 Only `import scipy` runs at import time; scipy loads scipy.optimize on the
 first attribute access, so only solve_assignment and the oracle_gap* checks
@@ -36,25 +37,14 @@ import scipy
 
 from .cutoffs import solve_kappa_tilde
 from .dist import MarketSlice
-from .duality import DualCertificate, build_duals
+from .duality import DualCertificate, build_duals, build_duals_tilde
 from .errors import UnsupportedConfiguration, ValidationError
 from .matching import _c1_bands
 from .numerics import adaptive_gauss_legendre
 from .pricing import build_p_star
-from .welfare import pair_profit, welfare_report
+from .welfare import pair_profit, tilde_pair_profit, welfare_report
 
 MAX_ATOMS = 5000
-
-
-def tilde_pair_profit(v_l, v_h):
-    """Pair profit when values are noisy signals (true values uniform on
-    [0, 2v]) with zero cost and equal group shares."""
-    v_l = np.asarray(v_l, dtype=float)
-    v_h = np.asarray(v_h, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        joint = np.where(v_l + v_h > 0, v_l * v_h / (v_l + v_h), 0.0)
-    out = np.maximum(np.maximum(v_l / 4.0, v_h / 4.0), joint)
-    return out if out.shape else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,33 +90,6 @@ def discretize(slice_: MarketSlice, n: int, objective: str = "standard") -> Assi
     return AssignmentInstance(v_l_atoms=vl, v_h_atoms=vh, cost_matrix=cm, objective=objective)
 
 
-def _multiscale_reduced_costs(inst: AssignmentInstance) -> np.ndarray:
-    """Reduced costs from the coarse assignment on every 4th atom pair: its
-    exact psi (Bellman-Ford on the exchange graph), linear in v_h between and
-    past the coarse atoms, and phi its c-transform, so none is negative."""
-    cost, v_h = inst.cost_matrix, inst.v_h_atoms
-    idx = ((np.arange(inst.n // 4) + 0.5) * 4).astype(int)
-    psi = np.zeros(inst.n)
-    if len(idx) >= 2:
-        sub = cost[np.ix_(idx, idx)]
-        _, sigma = scipy.optimize.linear_sum_assignment(sub, maximize=True)
-        on = sub[np.arange(len(idx)), sigma]
-        coarse = np.zeros(len(idx))
-        # rounding on zero-weight cycles can lower an entry by an ulp a round
-        # forever; a capped psi is still finite, all the fine solve needs
-        tol = 4.0 * np.finfo(float).eps * sub.max()
-        for _ in range(len(idx)):
-            cand = (coarse - sub).min(axis=1) + on
-            if not np.any(coarse[sigma] - cand > tol):
-                break
-            coarse[sigma] = np.minimum(coarse[sigma], cand)
-        x = v_h[idx]
-        ends = (coarse[0] + (v_h[0] - x[0]) * (coarse[1] - coarse[0]) / (x[1] - x[0]),
-                coarse[-1] + (v_h[-1] - x[-1]) * (coarse[-1] - coarse[-2]) / (x[-1] - x[-2]))
-        psi = np.interp(v_h, np.r_[v_h[0], x, v_h[-1]], np.r_[ends[0], coarse, ends[1]])
-    return (cost - psi).max(axis=1)[:, None] + psi - cost
-
-
 def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = None):
     """Exact maximum-weight assignment; returns (permutation, value) where
     value is the equal-mass average of the selected costs.
@@ -134,15 +97,14 @@ def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = N
     The solver minimizes the reduced costs phi(v_l) + psi(v_h) - cost, which
     have the same optimal assignments for any finite potentials. They come
     from the duals when those give finite reduced costs, and otherwise (no
-    certificate, or a non-finite one) from the multiscale start of
-    _multiscale_reduced_costs."""
+    certificate, or a non-finite one) the solve is cold, on cost.max() - cost."""
     reduced = None
     if duals is not None:
         with np.errstate(all="ignore"):
             reduced = np.add.outer(duals.phi(inst.v_l_atoms), duals.psi(inst.v_h_atoms))
             reduced -= inst.cost_matrix
     if reduced is None or not np.isfinite(reduced).all():
-        reduced = _multiscale_reduced_costs(inst)
+        reduced = inst.cost_matrix.max() - inst.cost_matrix
     rows, cols = scipy.optimize.linear_sum_assignment(reduced)
     perm = np.empty(inst.n, dtype=int)
     perm[rows] = cols
@@ -190,10 +152,11 @@ def tilde_transport_value(slice_: MarketSlice) -> float:
 
 def oracle_gap_tilde(slice_: MarketSlice, n: int) -> float:
     """Relative gap for the noisy-value objective (zero cost, equal shares);
-    it has no closed-form duals, so the assignment takes the multiscale start."""
+    the assignment is warm-started from the envelope duals of
+    build_duals_tilde."""
     if abs(slice_.c) > 1e-12 or abs(slice_.alpha - 0.5) > 1e-12:
         raise UnsupportedConfiguration(
             "noisy-value oracle is only defined for c = 0 and alpha = 1/2")
     target = tilde_transport_value(slice_)
-    _, value = solve_assignment(discretize(slice_, n, objective="tilde"))
+    _, value = solve_assignment(discretize(slice_, n, objective="tilde"), build_duals_tilde(slice_))
     return abs(value - target) / abs(target)

@@ -45,6 +45,17 @@ def pair_profit(slice_: MarketSlice, v_l, v_h):
     return out if out.shape else float(out)
 
 
+def tilde_pair_profit(v_l, v_h):
+    """Pair profit when values are noisy signals (true values uniform on
+    [0, 2v]) with zero cost and equal group shares."""
+    v_l = np.asarray(v_l, dtype=float)
+    v_h = np.asarray(v_h, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        joint = np.where(v_l + v_h > 0, v_l * v_h / (v_l + v_h), 0.0)
+    out = np.maximum(np.maximum(v_l / 4.0, v_h / 4.0), joint)
+    return out if out.shape else float(out)
+
+
 def optimal_pair_price(slice_: MarketSlice, v_l, v_h):
     """Profit-maximizing price for a matched pair, restricted to the pair's
     values and clamped below by feasibility; ties resolve toward selling to

@@ -401,6 +401,23 @@ class TestSolveKappaTilde:
             assert solve_kappa_tilde.__wrapped__(s).max_residual <= 1e-7
             assert calls["band"] <= 10 and calls["rule"] <= 40, (m, calls)
 
+    def test_residual_integrals_use_the_value_row_alone(self):
+        """The residual check integrates the value row without the shift
+        slope row, with the bits of the value row of the two-row integrand,
+        over the 61 m of the sweep above."""
+        from fairprice.cutoffs import _tilde_integral, _tilde_integrand
+        from fairprice.numerics import adaptive_gauss_legendre
+
+        for m in np.linspace(2.0, 5.0, 61):
+            s = MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(float(m)))
+            k = solve_kappa_tilde(s)
+            for top, a, b in ((k.k3, k.k2, k.k3), (k.k5, k.k4, k.k5)):
+                shift = float(delta(s, top))
+                rows = _tilde_integrand(s, shift)
+                kink = float(s.f_l.quantile(min(max(shift, 0.0), 1.0)))
+                want = adaptive_gauss_legendre(lambda z: rows(z)[0], a, b, split=kink)
+                assert _tilde_integral(s, shift, a, b, adaptive=True) == want
+
     @pytest.mark.parametrize("m", [2.0, 3.0, 5.0])
     def test_closed_form_slopes_match_central_differences(self, m):
         """The Newton slopes against central differences of the same

@@ -34,7 +34,7 @@ from .duality import STRONG_DUALITY_RTOL, build_duals, certificate_from_kappa, c
 from .errors import FairpriceError, NoConvergence, RegionViolation, UnsupportedConfiguration, \
     ValidationError
 from .matching import build_rho_star, coupling_welfare, mix_for_target_surplus
-from .oracle import analytic_profit, discretize, solve_assignment
+from .oracle import MAX_ATOMS, analytic_profit, discretize, solve_assignment
 from .pricing import NONDISCRIMINATION_TOL, build_p_anti, build_p_ass, build_p_star, \
     check_nondiscrimination, q_star, rule_to_dict
 from .welfare import bbm_triangle, surplus_closed_forms, uniform_price_revenue, welfare_report
@@ -160,8 +160,8 @@ def _grids(raw: dict, section: str, defaults: dict, other_keys=()):
 
 def _oracle_n(value) -> int:
     n = _number(value, "oracle_n", int)
-    if not (10 <= n <= 5000):
-        raise ValidationError(f"oracle_n must lie in [10, 5000], got {n}")
+    if not (10 <= n <= MAX_ATOMS):
+        raise ValidationError(f"oracle_n must lie in [10, {MAX_ATOMS}], got {n}")
     return n
 
 
@@ -326,7 +326,7 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
         gap = check_nondiscrimination(rule, slice_)
         if gap > NONDISCRIMINATION_TOL:
             failures.append({"check": "nondiscrimination", "slice": i, "gap": gap})
-        target = analytic_profit(slice_)
+        target = welfare_report(rule, slice_).profit
         dual = dual_value(cert)
         if not abs(target - dual) <= STRONG_DUALITY_RTOL * abs(dual):
             failures.append({"check": "strong_duality", "slice": i, "profit": target,

@@ -476,7 +476,6 @@ def _gap(f_l: ValueDistribution, f_h: ValueDistribution, v):
     return f_l.cdf(v) - f_h.cdf(v)  # each cdf gives a float for a scalar v
 
 
-@lru_cache(maxsize=512)
 def gap_profile(slice_: MarketSlice) -> GapProfile:
     """Locate the unique gap maximizer and the total variation distance.
 

@@ -13,6 +13,7 @@ condition on its coupling's support as broken lines (build_duals_tilde).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,36 +30,40 @@ STRONG_DUALITY_RTOL = 1e-9
 TILDE_NODES = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseAffine:
     """f(v) = slope_i * v + intercept_i on the i-th branch; branches split at
-    the interior breakpoints (left-open, right-closed)."""
+    the interior breakpoints (left-open, right-closed). All three are held
+    as float arrays, which neither compare nor hash (hence eq=False)."""
 
-    breaks: tuple
-    slopes: tuple
-    intercepts: tuple
+    breaks: np.ndarray
+    slopes: np.ndarray
+    intercepts: np.ndarray
 
     def __post_init__(self):
+        for name in ("breaks", "slopes", "intercepts"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(self.slopes) != len(self.breaks) + 1 or len(self.slopes) != len(self.intercepts):
             raise ValueError("need one more branch than breakpoints")
 
     def __call__(self, v):
         v_arr = np.asarray(v, dtype=float)
-        idx = np.searchsorted(np.asarray(self.breaks), v_arr, side="left")
-        out = np.asarray(self.slopes)[idx] * v_arr + np.asarray(self.intercepts)[idx]
+        idx = np.searchsorted(self.breaks, v_arr, side="left")
+        out = self.slopes[idx] * v_arr + self.intercepts[idx]
         return out if out.shape else float(out)
 
     def branch_integral(self, dist, lo: float, hi: float) -> float:
         """Exact integral of f against a distribution with partial moments."""
-        breaks = np.asarray(self.breaks)
-        points = [lo] + [b for b in self.breaks if lo < b < hi] + [hi]
+        # a scalar loop, so it runs on Python floats
+        breaks, slopes, intercepts = self.breaks.tolist(), self.slopes.tolist(), self.intercepts.tolist()
+        points = [lo] + [b for b in breaks if lo < b < hi] + [hi]
         total = 0.0
         for a, b in zip(points[:-1], points[1:]):
             mid = 0.5 * (a + b) if math.isfinite(b) else a + 1.0
-            i = int(np.searchsorted(breaks, mid, side="left"))
+            i = bisect_left(breaks, mid)
             cdf_b = 1.0 if math.isinf(b) else float(dist.cdf(b))
-            total += (self.slopes[i] * float(dist.partial_mean(a, b))
-                      + self.intercepts[i] * (cdf_b - float(dist.cdf(a))))
+            total += (slopes[i] * float(dist.partial_mean(a, b))
+                      + intercepts[i] * (cdf_b - float(dist.cdf(a))))
         return total
 
 
@@ -115,8 +120,7 @@ def _interpolant(x, y) -> PiecewiseAffine:
     """The broken line through (x_i, y_i), x increasing, extended past both
     ends along its end segments."""
     slopes = np.diff(y) / np.diff(x)
-    return PiecewiseAffine(breaks=tuple(x[1:-1].tolist()), slopes=tuple(slopes.tolist()),
-                           intercepts=tuple((y[:-1] - slopes * x[:-1]).tolist()))
+    return PiecewiseAffine(breaks=x[1:-1], slopes=slopes, intercepts=y[:-1] - slopes * x[:-1])
 
 
 def _tilde_profit_slope(v_l, v_h):
@@ -171,7 +175,7 @@ def _grid_points(cert: DualCertificate, dist, n: int) -> np.ndarray:
     q = (np.arange(n) + 0.5) / n
     pts = list(np.asarray(dist.quantile(q), dtype=float))
     # branches are right-closed: a breakpoint's right-hand limit is the next float
-    breaks = np.asarray(cert.phi.breaks + cert.psi.breaks, dtype=float)
+    breaks = np.concatenate([cert.phi.breaks, cert.psi.breaks])
     pts.extend(np.concatenate([breaks, np.nextafter(breaks, np.inf)]))
     pts.append(cert.slice.c)
     return np.unique(np.asarray(pts, dtype=float))
@@ -223,9 +227,9 @@ def dual_value(cert: DualCertificate) -> float:
 def certificate_to_dict(cert: DualCertificate) -> dict:
     def branches(pa: PiecewiseAffine):
         return {
-            "breaks": list(pa.breaks),
-            "slopes": list(pa.slopes),
-            "intercepts": list(pa.intercepts),
+            "breaks": pa.breaks.tolist(),
+            "slopes": pa.slopes.tolist(),
+            "intercepts": pa.intercepts.tolist(),
         }
 
     return {

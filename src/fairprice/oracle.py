@@ -52,7 +52,6 @@ class AssignmentInstance:
     v_l_atoms: np.ndarray
     v_h_atoms: np.ndarray
     cost_matrix: np.ndarray
-    objective: str = "standard"
 
     def __post_init__(self):
         vl = np.asarray(self.v_l_atoms, dtype=float)
@@ -87,7 +86,7 @@ def discretize(slice_: MarketSlice, n: int, objective: str = "standard") -> Assi
         cm = np.asarray(tilde_pair_profit(vl[:, None], vh[None, :]))
     else:
         raise ValidationError(f"unknown objective {objective!r}")
-    return AssignmentInstance(v_l_atoms=vl, v_h_atoms=vh, cost_matrix=cm, objective=objective)
+    return AssignmentInstance(v_l_atoms=vl, v_h_atoms=vh, cost_matrix=cm)
 
 
 def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = None):

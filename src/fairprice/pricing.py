@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -246,7 +245,6 @@ def _c1_segments(slice_: MarketSlice, k):
     return segs
 
 
-@lru_cache(maxsize=512)
 def build_p_star(slice_: MarketSlice) -> PricingRule:
     """Profit-maximizing non-discriminatory rule, dispatched on the region."""
     region = classify_region(slice_)
@@ -299,7 +297,6 @@ def build_p_star(slice_: MarketSlice) -> PricingRule:
     return PricingRule(name="p_star", slice=slice_, segments=tuple(segs), notes=tuple(notes))
 
 
-@lru_cache(maxsize=512)
 def build_p_ass(slice_: MarketSlice) -> PricingRule:
     """Assortative rule: equal-quantile pairs pay the lower value of the pair
     (clamped at cost)."""
@@ -338,7 +335,6 @@ def q_star(slice_: MarketSlice) -> float:
     return gap_profile(slice_).tv
 
 
-@lru_cache(maxsize=128)
 def build_p_tilde_star(slice_: MarketSlice) -> PricingRule:
     """Optimal rule under noisy values (uniform on [0, 2v]); same branch
     structure as the C1 rule with the noisy-variant cutoffs substituted."""

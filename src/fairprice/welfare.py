@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -161,7 +160,6 @@ def _piece_welfare(slice_, theta, piece):
     return float(dist.partial_mean(a, b)) - revenue, revenue - c * (fb - fa)
 
 
-@lru_cache(maxsize=512)
 def welfare_report(rule: PricingRule, slice_: MarketSlice) -> WelfareReport:
     """Per-slice profit, consumer surplus, and welfare loss under a rule.
 
@@ -207,7 +205,6 @@ def welfare_report(rule: PricingRule, slice_: MarketSlice) -> WelfareReport:
     return report
 
 
-@lru_cache(maxsize=512)
 def surplus_closed_forms(slice_: MarketSlice):
     """Quantile-integral surplus of the optimal rule on a C1 slice.
 

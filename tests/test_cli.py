@@ -301,6 +301,30 @@ class TestVerify:
         assert run(cfg, "verify", out_dir=out, oracle_n=200) == 0
         assert json.loads((out / "verify.json").read_text())["failures"] == []
 
+    def test_builds_p_star_once_per_slice(self, tmp_path, monkeypatch):
+        """The strong-duality and oracle target is the profit of the rule
+        that verify already built for its non-discrimination check."""
+        import fairprice.cli as cli
+        import fairprice.oracle as oracle
+
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["market"]["slices"][0]["weight"] = 0.5
+        payload["market"]["slices"].append(dict(payload["market"]["slices"][0], alpha=0.3))
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 0
+        built = []
+        real = cli.build_p_star
+
+        def counted(slice_):
+            built.append(slice_)
+            return real(slice_)
+
+        monkeypatch.setattr(cli, "build_p_star", counted)
+        monkeypatch.setattr(oracle, "build_p_star", counted)
+        assert run(cfg, "verify", out_dir=out, oracle_n=200) == 0
+        assert [s.alpha for s in built] == [0.5, 0.3]
+
     def test_tampered_cutoffs_fail_with_witness(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"

@@ -563,8 +563,8 @@ def test_optimal_rule_inverts_no_gap(s, monkeypatch):
     monkeypatch.setattr(welfare, "delta_inverse", counted_inverse)
     monkeypatch.setattr("fairprice.pricing.delta_inverse", counted_inverse)
     monkeypatch.setattr(dist, "_gap_table", counted_table)
-    rule = build_p_star.__wrapped__(s)
-    report = welfare_report.__wrapped__(rule, s)
+    rule = build_p_star(s)
+    report = welfare_report(rule, s)
     assert check_nondiscrimination(rule, s) <= NONDISCRIMINATION_TOL
     assert abs(report.accounting_residual()) <= 1e-12
     assert calls == []

@@ -22,15 +22,21 @@ solve from 43-78 ms cold to 3-8 ms and an n = 800 one from 0.34-0.38 s to
 0.010-0.028 s (best of 3, 2-core host). Without a usable certificate (none,
 or a non-finite one) the solve is cold.
 
-Only `import scipy` runs at import time; scipy loads scipy.optimize on the
-first attribute access, so only solve_assignment and the oracle_gap* checks
-(the `verify` command) pay its ~0.5 s import, and the other commands start in
-about 0.25 s instead of about 0.75 s.
+Only `import scipy` runs at import time (callers read its version). The
+first solve loads scipy's compiled assignment module, scipy.optimize._lsap,
+by itself in about 0.2 ms: its linear_sum_assignment is the very function
+that scipy.optimize exports, but the package's __init__ (scipy.linalg,
+linprog, numpy.f2py and the other solvers, about 0.34 s) never runs. A
+scipy whose layout has no such extension module gets the public import.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from importlib.machinery import ExtensionFileLoader, PathFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -89,6 +95,19 @@ def discretize(slice_: MarketSlice, n: int, objective: str = "standard") -> Assi
     return AssignmentInstance(v_l_atoms=vl, v_h_atoms=vh, cost_matrix=cm)
 
 
+@functools.cache
+def _linear_sum_assignment():
+    """scipy's linear_sum_assignment, from its extension module alone."""
+    spec = PathFinder.find_spec("scipy.optimize._lsap",
+                                [str(Path(p) / "optimize") for p in scipy.__path__])
+    if spec is None or not isinstance(spec.loader, ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = None):
     """Exact maximum-weight assignment; returns (permutation, value) where
     value is the equal-mass average of the selected costs.
@@ -104,7 +123,7 @@ def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = N
             reduced -= inst.cost_matrix
     if reduced is None or not np.isfinite(reduced).all():
         reduced = inst.cost_matrix.max() - inst.cost_matrix
-    rows, cols = scipy.optimize.linear_sum_assignment(reduced)
+    rows, cols = _linear_sum_assignment()(reduced)
     perm = np.empty(inst.n, dtype=int)
     perm[rows] = cols
     value = float(inst.cost_matrix[rows, cols].mean())

@@ -1,7 +1,13 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from importlib.machinery import SourceFileLoader
+from importlib.util import spec_from_loader
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import mixture_slice, scaled12_slice
 from helpers import optimal_support_distance
+from fairprice import oracle
 from fairprice.cutoffs import Region, classify_region, solve_kappa, solve_kappa_tilde
 from fairprice.dist import Exponential, MarketSlice, ScaledFamily
 from fairprice.duality import (
@@ -44,6 +51,15 @@ def brute_force_value(cost):
 def cold_value(cost):
     rows, cols = linear_sum_assignment(cost, maximize=True)
     return float(cost[rows, cols].mean())
+
+
+def counting_solver(calls):
+    """A stand-in for the oracle's solver binding: its solver records each
+    call's maximize flag and solves with the public function."""
+    def solve(cost, maximize=False):
+        calls.append(maximize)
+        return linear_sum_assignment(cost, maximize=maximize)
+    return lambda: solve
 
 
 class TestDiscretize:
@@ -114,6 +130,80 @@ class TestSolveAssignment:
         assert np.array_equal(p1, p2) and v1 == v2
 
 
+@pytest.fixture
+def reload_solver_binding():
+    """Clears the oracle's solver binding after the test, so the next solve
+    loads it again."""
+    yield
+    oracle._linear_sum_assignment.cache_clear()
+
+
+class TestSolverBinding:
+    """The oracle loads scipy's assignment extension module by itself, not
+    the scipy.optimize package; it must be the same solver."""
+
+    def test_is_the_public_function_after_scipy_optimize(self):
+        # this module imports scipy.optimize before any solve
+        assert oracle._linear_sum_assignment() is linear_sum_assignment
+
+    def test_is_the_public_function_when_loaded_first(self):
+        child = (
+            "import sys\n"
+            "from fairprice import oracle\n"
+            "solver = oracle._linear_sum_assignment()\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "import scipy.optimize\n"
+            "assert solver is scipy.optimize.linear_sum_assignment\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-c", child],
+                       env={**os.environ, "PYTHONPATH": src}, check=True)
+
+    def test_same_assignment_on_random_costs(self):
+        cost = np.random.default_rng(300).uniform(0.0, 1.0, size=(300, 300))
+        rows, cols = oracle._linear_sum_assignment()(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+    def test_same_assignment_on_tied_reduced_costs(self):
+        """The n = 800 reduced costs of a C2 slice of a verify-cli config:
+        over two fifths of the entries are exactly 0."""
+        s = MarketSlice(c=0.6540048977161582, alpha=0.364295829226892,
+                        f_l=Exponential(0.6440894032504179), f_h=Exponential(2.337245850922682))
+        assert classify_region(s) is Region.C2
+        cert = build_duals(s)
+        inst = discretize(s, 800)
+        reduced = np.add.outer(cert.phi(inst.v_l_atoms), cert.psi(inst.v_h_atoms)) - inst.cost_matrix
+        assert np.mean(reduced == 0.0) > 0.4
+        rows, cols = oracle._linear_sum_assignment()(reduced)
+        want_rows, want_cols = linear_sum_assignment(reduced)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize("found", ["none", "source"])
+    def test_falls_back_to_the_public_import(self, exp13, found, tmp_path, monkeypatch,
+                                             reload_solver_binding):
+        """No spec, or one whose loader is not an extension loader (older
+        scipy layouts had a Python _lsap), takes scipy.optimize's function."""
+        want = oracle_gap(exp13, 200)
+        name = "scipy.optimize._lsap"
+        spec = None if found == "none" else \
+            spec_from_loader(name, SourceFileLoader(name, str(tmp_path / "_lsap.py")))
+
+        class Finder:
+            @staticmethod
+            def find_spec(fullname, path):
+                assert fullname == name
+                return spec
+
+        calls = []
+        monkeypatch.setattr(oracle, "PathFinder", Finder)
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
+                            counting_solver(calls)())
+        oracle._linear_sum_assignment.cache_clear()
+        assert oracle_gap(exp13, 200) == want
+        assert calls == [False]
+
+
 WARM_SLICES = {
     "exp-C1": (MarketSlice(c=0.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0)), Region.C1),
     "exp-C1-cost": (MarketSlice(c=0.2, alpha=0.3, f_l=Exponential(1.0), f_h=Exponential(5.0)),
@@ -172,9 +262,7 @@ class TestWarmStart:
         k = solve_kappa(exp13)
         cert = certificate_from_kappa(exp13, dataclasses.replace(k, k1=k.k1 if k1 is None else k1))
         calls = []
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
-                            lambda cost, maximize=False: calls.append(maximize)
-                            or linear_sum_assignment(cost, maximize=maximize))
+        monkeypatch.setattr(oracle, "_linear_sum_assignment", counting_solver(calls))
         inst = discretize(exp13, 50)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -233,9 +321,7 @@ class TestNoisyCertificate:
 
     def test_oracle_makes_one_warm_solve(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
-                            lambda cost, maximize=False: calls.append(maximize)
-                            or linear_sum_assignment(cost, maximize=maximize))
+        monkeypatch.setattr(oracle, "_linear_sum_assignment", counting_solver(calls))
         assert oracle_gap_tilde(noisy_slice(3.0), 400) <= 0.01
         assert calls == [False]
 

@@ -34,7 +34,7 @@ from .duality import STRONG_DUALITY_RTOL, build_duals, certificate_from_kappa, c
 from .errors import FairpriceError, NoConvergence, RegionViolation, UnsupportedConfiguration, \
     ValidationError
 from .matching import build_rho_star, coupling_welfare, mix_for_target_surplus
-from .oracle import MAX_ATOMS, analytic_profit, discretize, solve_assignment
+from .oracle import MAX_ATOMS, oracle_gap
 from .pricing import NONDISCRIMINATION_TOL, build_p_anti, build_p_ass, build_p_star, \
     check_nondiscrimination, q_star, rule_to_dict
 from .welfare import bbm_triangle, surplus_closed_forms, uniform_price_revenue, welfare_report
@@ -290,6 +290,8 @@ def _load_kappa_overrides(out: Path, market: Market):
         if missing:
             raise ValidationError(f"{where}.kappa is missing {missing}")
         ks = tuple(_number(payload[k], f"{where}.kappa.{k}") for k in names)
+        if i in overrides:
+            raise ValidationError(f"{where}.slice repeats slice {i}")
         overrides[i] = Kappa(*ks, residuals=_standard_residuals(market.slices[i][0], *ks),
                              variant=payload.get("variant", "standard"))
     return overrides
@@ -300,15 +302,13 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
     failures = []
     oracle_rows = []
     for i, (slice_, weight) in enumerate(config.market.slices):
-        region = classify_region(slice_)
-        kappa = overrides.get(i)
-        if kappa is None and region is Region.C1:
-            kappa = solve_kappa(slice_)
+        region, kappa, _, rule, cert, report = _solve_slice(slice_)
+        kappa = overrides.get(i, kappa)
+        if i in overrides and region is Region.C1:
+            cert = certificate_from_kappa(slice_, kappa)
         if kappa is not None and not kappa.max_residual <= KAPPA_TOL:
             failures.append({"check": "kappa_residuals", "slice": i,
                              "residuals": list(kappa.residuals)})
-        cert = certificate_from_kappa(slice_, kappa) if kappa is not None and region is Region.C1 \
-            else build_duals(slice_)
         try:
             min_slack = check_feasibility(cert, slice_, 500)
         except FairpriceError as exc:
@@ -322,17 +322,15 @@ def cmd_verify(config: ExperimentConfig, out: Path) -> None:
             failures.append({"check": "complementary_slackness", "slice": i, "message": str(exc),
                              "witness": list(getattr(exc, "witness", ()) or ())})
             max_violation = getattr(exc, "violation", math.nan)
-        rule = build_p_star(slice_)
         gap = check_nondiscrimination(rule, slice_)
         if gap > NONDISCRIMINATION_TOL:
             failures.append({"check": "nondiscrimination", "slice": i, "gap": gap})
-        target = welfare_report(rule, slice_).profit
+        target = report.profit
         dual = dual_value(cert)
         if not abs(target - dual) <= STRONG_DUALITY_RTOL * abs(dual):
             failures.append({"check": "strong_duality", "slice": i, "profit": target,
                              "dual_value": dual})
-        _, value = solve_assignment(discretize(slice_, config.oracle_n), cert)
-        rel_gap = abs(value - target) / abs(target) if target else math.inf
+        value, rel_gap = oracle_gap(slice_, config.oracle_n, cert, target)
         if rel_gap > 0.01:
             failures.append({"check": "oracle_gap", "slice": i, "gap": rel_gap})
         oracle_rows.append((i, slice_.c, slice_.alpha, region.value, config.oracle_n,
@@ -447,7 +445,7 @@ def cmd_outcomes(config: ExperimentConfig, out: Path) -> None:
             raise RegionViolation("outcome ranges are defined on C1 slices",
                                   offending=[slice_.c])
         cs_l_star, cs_h_star = surplus_closed_forms(slice_)
-        profit_star = analytic_profit(slice_)
+        profit_star = welfare_report(build_p_star(slice_), slice_).profit
         for frac in config.sigma_fractions:
             target = frac * cs_l_star
             mix = mix_for_target_surplus(slice_, target, config.outcome_atoms)

@@ -2,8 +2,11 @@
 
 Equal-mass quantile discretization turns the continuous matching problem into
 an n-by-n maximum-weight assignment, solved exactly with scipy's
-linear_sum_assignment (deterministic for a fixed cost matrix). The assignment
-value is compared against the analytic profit; the gap decays like 1/n.
+linear_sum_assignment (deterministic for a fixed cost matrix). oracle_gap
+compares the assignment value against an analytic target; the gap decays
+like 1/n. It serves both objectives: the certificate it is given picks the
+pair profit (the noisy one for a "tilde" certificate), so verify, the
+library and the noisy oracle_gap_tilde run one path.
 
 Given the slice's dual certificate (phi, psi), the solve is warm-started:
 adding phi(v_l) + psi(v_h) to every entry leaves the optimal assignments
@@ -33,6 +36,7 @@ scipy whose layout has no such extension module gets the public import.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from importlib.machinery import ExtensionFileLoader, PathFinder
 from importlib.util import module_from_spec
@@ -43,12 +47,11 @@ import scipy
 
 from .cutoffs import solve_kappa_tilde
 from .dist import MarketSlice
-from .duality import DualCertificate, build_duals, build_duals_tilde
+from .duality import DualCertificate, build_duals_tilde
 from .errors import UnsupportedConfiguration, ValidationError
 from .matching import _c1_bands
 from .numerics import adaptive_gauss_legendre
-from .pricing import build_p_star
-from .welfare import pair_profit, tilde_pair_profit, welfare_report
+from .welfare import pair_profit, tilde_pair_profit
 
 MAX_ATOMS = 5000
 
@@ -130,17 +133,15 @@ def solve_assignment(inst: AssignmentInstance, duals: DualCertificate | None = N
     return perm, value
 
 
-def analytic_profit(slice_: MarketSlice) -> float:
-    """Profit of the optimal rule, from the welfare integrator."""
-    return welfare_report(build_p_star(slice_), slice_).profit
-
-
-def oracle_gap(slice_: MarketSlice, n: int) -> float:
-    """Relative gap between the assignment value and the analytic optimal
-    profit; expected O(1/n) decay."""
-    target = analytic_profit(slice_)
-    _, value = solve_assignment(discretize(slice_, n), build_duals(slice_))
-    return abs(value - target) / abs(target)
+def oracle_gap(slice_: MarketSlice, n: int, cert: DualCertificate, target: float):
+    """(value, relative gap) of the n-atom assignment against the analytic
+    target, warm-started from the certificate, whose regime picks the
+    objective ("tilde" the noisy one). Equal values have gap 0, and a zero
+    target with a nonzero value gap inf; expected O(1/n) decay."""
+    objective = "tilde" if cert.regime == "tilde" else "standard"
+    _, value = solve_assignment(discretize(slice_, n, objective), cert)
+    gap = abs(value - target)
+    return value, gap / abs(target) if target else (math.inf if gap else 0.0)
 
 
 def tilde_transport_value(slice_: MarketSlice) -> float:
@@ -175,6 +176,4 @@ def oracle_gap_tilde(slice_: MarketSlice, n: int) -> float:
     if abs(slice_.c) > 1e-12 or abs(slice_.alpha - 0.5) > 1e-12:
         raise UnsupportedConfiguration(
             "noisy-value oracle is only defined for c = 0 and alpha = 1/2")
-    target = tilde_transport_value(slice_)
-    _, value = solve_assignment(discretize(slice_, n, objective="tilde"), build_duals_tilde(slice_))
-    return abs(value - target) / abs(target)
+    return oracle_gap(slice_, n, build_duals_tilde(slice_), tilde_transport_value(slice_))[1]

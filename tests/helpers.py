@@ -1,9 +1,20 @@
-"""Test oracles that no command or workload needs."""
+"""Test oracles and shorthands that no command or workload needs."""
 
 import numpy as np
 
 from fairprice.cutoffs import solve_kappa
 from fairprice.dist import MarketSlice
+from fairprice.duality import build_duals
+from fairprice.oracle import oracle_gap
+from fairprice.pricing import build_p_star
+from fairprice.welfare import welfare_report
+
+
+def star_oracle_gap(slice_: MarketSlice, n: int) -> float:
+    """Relative oracle gap against the optimal rule's profit, warm-started
+    from the slice's certificate, as verify runs it on a fresh solve."""
+    target = welfare_report(build_p_star(slice_), slice_).profit
+    return oracle_gap(slice_, n, build_duals(slice_), target)[1]
 
 
 def optimal_support_distance(slice_: MarketSlice, v_l, v_h):

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import mixture_slice, narrow_slice, random_c1_slices, scaled12_slice
+from helpers import star_oracle_gap
 from fairprice.cutoffs import classify_region, fixed_point_residual, kappa_bracket, solve_kappa
 from fairprice.dist import Exponential, MarketSlice, ScaledFamily, gap_profile
 from fairprice.duality import build_duals, check_complementary_slackness, check_feasibility, dual_value
 from fairprice.matching import build_rho_star, coupling_welfare, mix_for_target_surplus
-from fairprice.oracle import oracle_gap, oracle_gap_tilde
+from fairprice.oracle import oracle_gap_tilde
 from fairprice.pricing import (
     build_p_anti,
     build_p_ass,
@@ -108,7 +109,7 @@ def test_criterion_3_oracle_equivalence(capsys):
     regions = [classify_region(s).value for s in slices]
     assert regions.count("C2") == 2 and regions.count("C3") == 2
     for s in slices:
-        gaps = {n: oracle_gap(s, n) for n in (200, 400, 800)}
+        gaps = {n: star_oracle_gap(s, n) for n in (200, 400, 800)}
         assert gaps[400] <= 0.01
         assert gaps[800] <= gaps[200] * 1.1
     for f_h_mean in (2.0, 3.0, 5.0):

@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from fairprice.cli import ExperimentConfig, _write_json, main, run
+from fairprice.duality import build_duals
+from fairprice.oracle import oracle_gap
+from fairprice.pricing import build_p_star
+from fairprice.welfare import welfare_report
 
 
 BASE_CONFIG = {
@@ -215,8 +219,11 @@ class TestValidation:
         lambda doc: doc[0]["kappa"].update(k3="abc"),
         lambda doc: doc[0]["kappa"].update(k1=float("nan")),
         lambda doc: doc[0]["kappa"].update(k1=float("inf")),
+        # a tampered entry followed by a clean one for the same slice
+        lambda doc: doc.insert(0, {**doc[0], "kappa": {**doc[0]["kappa"],
+                                                       "k1": doc[0]["kappa"]["k1"] + 0.01}}),
     ], ids=["invalid-json", "non-integer-slice", "slice-out-of-range", "missing-cutoff",
-            "non-numeric-cutoff", "nan-cutoff", "infinite-cutoff"])
+            "non-numeric-cutoff", "nan-cutoff", "infinite-cutoff", "duplicate-slice"])
     def test_malformed_kappa_json_is_config_error(self, tmp_path, edit):
         cfg = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -305,7 +312,6 @@ class TestVerify:
         """The strong-duality and oracle target is the profit of the rule
         that verify already built for its non-discrimination check."""
         import fairprice.cli as cli
-        import fairprice.oracle as oracle
 
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["market"]["slices"][0]["weight"] = 0.5
@@ -321,9 +327,34 @@ class TestVerify:
             return real(slice_)
 
         monkeypatch.setattr(cli, "build_p_star", counted)
-        monkeypatch.setattr(oracle, "build_p_star", counted)
         assert run(cfg, "verify", out_dir=out, oracle_n=200) == 0
         assert [s.alpha for s in built] == [0.5, 0.3]
+
+    def test_oracle_csv_is_the_library_gap(self, tmp_path):
+        """On the README config, oracle.csv holds what oracle_gap gives with
+        the slice's certificate and the optimal rule's profit."""
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, oracle_n=400))
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 0
+        assert run(cfg, "verify", out_dir=out) == 0
+        s = ExperimentConfig(json.loads(cfg.read_text())).market.slices[0][0]
+        profit = welfare_report(build_p_star(s), s).profit
+        value, gap = oracle_gap(s, 400, build_duals(s), profit)
+        row, = read_csv(out / "oracle.csv")
+        assert (row["assignment_value"], row["analytic_profit"], row["rel_gap"]) == \
+            ("%.12g" % value, "%.12g" % profit, "%.12g" % gap)
+
+    def test_zero_profit_slice_certifies(self, tmp_path):
+        """At c = 200 the optimal profit underflows to 0.0 and so does the
+        assignment value: solve and verify both exit 0, with gap 0."""
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["market"]["slices"][0]["c"] = 200.0
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run(cfg, "solve", out_dir=out) == 0
+        assert run(cfg, "verify", out_dir=out) == 0
+        row, = read_csv(out / "oracle.csv")
+        assert (row["assignment_value"], row["analytic_profit"], row["rel_gap"]) == ("0", "0", "0")
 
     def test_tampered_cutoffs_fail_with_witness(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import mixture_slice, scaled12_slice
-from helpers import optimal_support_distance
+from helpers import optimal_support_distance, star_oracle_gap
 from fairprice import oracle
 from fairprice.cutoffs import Region, classify_region, solve_kappa, solve_kappa_tilde
 from fairprice.dist import Exponential, MarketSlice, ScaledFamily
@@ -37,7 +37,8 @@ from fairprice.oracle import (
     tilde_pair_profit,
     tilde_transport_value,
 )
-from fairprice.welfare import pair_profit
+from fairprice.pricing import build_p_star
+from fairprice.welfare import pair_profit, welfare_report
 
 
 def brute_force_value(cost):
@@ -184,7 +185,7 @@ class TestSolverBinding:
                                              reload_solver_binding):
         """No spec, or one whose loader is not an extension loader (older
         scipy layouts had a Python _lsap), takes scipy.optimize's function."""
-        want = oracle_gap(exp13, 200)
+        want = star_oracle_gap(exp13, 200)
         name = "scipy.optimize._lsap"
         spec = None if found == "none" else \
             spec_from_loader(name, SourceFileLoader(name, str(tmp_path / "_lsap.py")))
@@ -200,7 +201,7 @@ class TestSolverBinding:
         monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
                             counting_solver(calls)())
         oracle._linear_sum_assignment.cache_clear()
-        assert oracle_gap(exp13, 200) == want
+        assert star_oracle_gap(exp13, 200) == want
         assert calls == [False]
 
 
@@ -357,14 +358,26 @@ class TestNoisyCertificate:
 
 class TestOracleGap:
     def test_c1_gap_small_and_shrinking(self, exp13):
-        gaps = {n: oracle_gap(exp13, n) for n in (200, 400, 800)}
+        gaps = {n: star_oracle_gap(exp13, n) for n in (200, 400, 800)}
         assert gaps[400] <= 0.01
         assert gaps[800] <= gaps[200] * 1.1
 
     @pytest.mark.parametrize("fixture", ["c2_slice", "c3_slice"])
     def test_full_extraction_regions(self, fixture, request):
         s = request.getfixturevalue(fixture)
-        assert oracle_gap(s, 400) <= 0.01
+        assert star_oracle_gap(s, 400) <= 0.01
+
+    def test_zero_profit_slice_has_zero_gap(self):
+        """At c = 200 no exp(1) vs exp(3) pair is worth a sale at the atoms
+        and the optimal profit underflows to 0.0: equal values, gap 0."""
+        s = MarketSlice(c=200.0, alpha=0.5, f_l=Exponential(1.0), f_h=Exponential(3.0))
+        target = welfare_report(build_p_star(s), s).profit
+        assert target == 0.0
+        assert oracle_gap(s, 400, build_duals(s), target) == (0.0, 0.0)
+
+    def test_zero_target_with_nonzero_value_has_infinite_gap(self, exp13):
+        value, gap = oracle_gap(exp13, 50, build_duals(exp13), 0.0)
+        assert value > 0.0 and gap == math.inf
 
     def test_assigned_pairs_near_optimal_support(self, exp13):
         for n in (100, 400):
@@ -387,6 +400,13 @@ class TestTildeObjective:
 
     def test_gap_decreasing(self, exp13):
         assert oracle_gap_tilde(exp13, 800) <= oracle_gap_tilde(exp13, 200) * 1.1
+
+    def test_noisy_certificate_picks_the_noisy_objective(self, exp13):
+        """oracle_gap_tilde is oracle_gap with the noisy certificate and
+        target, bit for bit."""
+        value, gap = oracle_gap(exp13, 400, build_duals_tilde(exp13), tilde_transport_value(exp13))
+        assert gap == oracle_gap_tilde(exp13, 400)
+        assert value == pytest.approx(solve_assignment(discretize(exp13, 400, "tilde"))[1], rel=1e-12)
 
     def test_transport_value_bounded_by_perfect_discrimination(self, exp13):
         # upper bound: learn each consumer's signal perfectly
